@@ -1,282 +1,124 @@
-"""LIFO store of idle workers: non-blocking push, serialized pop and cull.
+"""LIFO store of idle workers: one lock over a list kept oldest-first.
 
-The store is "half lock-free": push is a compare-and-swap retry loop on the
-head reference and never blocks on removals, while pop/cull/integral all
-serialize under a removal lock so the CAS never suffers the A-B-A pathology
-(the only concurrent head mutation a remover can race with is a push, which
-installs a brand-new node).
+push stamps ``idle_since`` (monotonic ns) under the lock and appends, pop
+takes the newest from the end, and the culls slice from the front. The
+lock also guards a running sum of the stamps (an O(1) idle integral), the
+exact peak depth and the count of successful pops (the runtime's cache
+hits). ``close`` drains the store and refuses every later push.
 
-Workers are linked intrusively through their ``next_idle`` attribute and
-stamped with ``idle_since`` (monotonic ns) inside push, so the list is
-always ordered newest (head) to oldest (tail) and "oldest = tail" is a
-structural truth rather than a convention.
+The paper's CAS push and per-CPU shards are not reproduced: under the
+GIL an emulated CAS is itself a lock, and shards only add work.
 """
 
 from __future__ import annotations
 
-import ctypes
-import ctypes.util
 import threading
 import time
 from typing import Callable, List, Optional
 
 
-def _load_sched_getcpu():
-    try:
-        libc = ctypes.CDLL(ctypes.util.find_library("c"), use_errno=True)
-        fn = libc.sched_getcpu
-        fn.restype = ctypes.c_int
-        if fn() >= 0:
-            return fn
-    except (OSError, AttributeError):
-        pass
-    return None
-
-
-_sched_getcpu = _load_sched_getcpu()
-
-
-class _Head:
-    """Atomically swappable head pointer with a piggybacked depth gauge.
-
-    compare_and_push / compare_and_pop are the CAS primitives; the short
-    internal lock stands in for a hardware CAS. The depth count and peak
-    are folded into the same critical section so they are exact without
-    extra lock traffic on the hot path.
-    """
-
-    __slots__ = ("lock", "node", "count", "peak")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.node = None
-        self.count = 0
-        self.peak = 0
-
-    def compare_and_push(self, expect, node) -> bool:
-        # caller has already set node.next_idle = expect
-        with self.lock:
-            if self.node is expect:
-                self.node = node
-                self.count += 1
-                if self.count > self.peak:
-                    self.peak = self.count
-                return True
-            return False
-
-    def compare_and_pop(self, expect) -> bool:
-        with self.lock:
-            if self.node is expect:
-                self.node = expect.next_idle
-                self.count -= 1
-                return True
-            return False
-
-    def detach_all(self, expect) -> bool:
-        """CAS the whole observed chain off the list (head -> None)."""
-        with self.lock:
-            if self.node is expect:
-                self.node = None
-                self.count = 0
-                return True
-            return False
-
-    def adjust(self, delta: int):
-        with self.lock:
-            self.count += delta
-
-
-class _Shard:
-    __slots__ = ("head", "pop_lock")
-
-    def __init__(self):
-        self.head = _Head()
-        self.pop_lock = threading.Lock()
-
-    # -- push (lock-free w.r.t. removals) --------------------------------
-
-    def push(self, worker, now: int, hook=None):
-        head = self.head
-        while True:
-            expect = head.node  # plain read; validated by the CAS
-            worker.next_idle = expect
-            worker.idle_since = now
-            if hook is not None:
-                hook("push", worker, expect)
-            if head.compare_and_push(expect, worker):
-                return
-
-    # -- serialized removals ---------------------------------------------
-
-    def pop(self, hook=None):
-        with self.pop_lock:
-            head = self.head
-            while True:
-                expect = head.node
-                if expect is None:
-                    return None
-                if hook is not None:
-                    hook("pop", expect, expect.next_idle)
-                if head.compare_and_pop(expect):
-                    expect.next_idle = None
-                    return expect
-
-    def _chain(self, node):
-        out = []
-        while node is not None:
-            out.append(node)
-            node = node.next_idle
-        return out
-
-    def cull_tail(self, k: int):
-        """Remove up to k oldest workers; returns them oldest-first."""
-        if k <= 0:
-            return []
-        with self.pop_lock:
-            return self._cull_tail_locked(k)
-
-    def _cull_tail_locked(self, k: int):
-        head = self.head
-        observed = head.node
-        if observed is None:
-            return []
-        chain = self._chain(observed)  # newest .. oldest
-        n = len(chain)
-        if k >= n:
-            # detach the whole observed chain; concurrent pushes may have
-            # prepended younger nodes which stay (they arrived after the
-            # lock was taken and are never "oldest")
-            while not head.detach_all(observed):
-                pred = head.node
-                while pred.next_idle is not observed:
-                    pred = pred.next_idle
-                pred.next_idle = None
-                head.adjust(-n)
-                break
-            removed = chain
-        else:
-            survivor = chain[n - k - 1]
-            removed = chain[n - k:]
-            survivor.next_idle = None
-            head.adjust(-len(removed))
-        removed.reverse()  # oldest first
-        for w in removed:
-            w.next_idle = None
-        return removed
-
-    def cull_older_than(self, min_idle_since: int):
-        """Remove every worker stamped before min_idle_since (a tail suffix)."""
-        with self.pop_lock:
-            chain = self._chain(self.head.node)
-            stale = 0
-            for w in reversed(chain):
-                if w.idle_since >= min_idle_since:
-                    break
-                stale += 1
-            return self._cull_tail_locked(stale) if stale else []
-
-    def oldest_stamp(self) -> Optional[int]:
-        with self.pop_lock:
-            chain = self._chain(self.head.node)
-            return chain[-1].idle_since if chain else None
-
-    def integral_ns(self, now: int) -> int:
-        with self.pop_lock:
-            return sum(now - w.idle_since for w in self._chain(self.head.node))
-
-    def traverse_locked(self, fn):
-        with self.pop_lock:
-            for w in self._chain(self.head.node):
-                fn(w)
-
-
 class IdleStore:
-    """Sharded LIFO idle store; shards=1 (the default) is a single list.
+    """Idle workers, oldest first; every operation takes the one lock."""
 
-    With shards > 1, a push lands on the shard of the pushing thread's CPU
-    and pop prefers that shard before scanning the others. Retention
-    policies treat the store as one logical list: cull and integral work
-    across all shards (oldest-first globally).
-    """
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items: List = []
+        self._stamp_sum = 0
+        self._peak = 0
+        self._pops = 0
+        self._closed = False
 
-    def __init__(self, shards: int = 1):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._shards = [_Shard() for _ in range(shards)]
-        self._nshards = shards
-        self._hook = None  # test instrumentation: fn(op, node, succ)
-
-    def _shard_index(self) -> int:
-        if self._nshards == 1:
-            return 0
-        if _sched_getcpu is not None:
-            cpu = _sched_getcpu()
-            if cpu >= 0:
-                return cpu % self._nshards
-        return threading.get_ident() % self._nshards
-
-    # -- operations -------------------------------------------------------
-
-    def push(self, worker, now: Optional[int] = None):
-        if now is None:
-            now = time.monotonic_ns()
-        self._shards[self._shard_index()].push(worker, now, self._hook)
+    # push and pop run on every cache hit, so they call acquire/release
+    # directly: about half the cost of a ``with`` block on CPython 3.11
+    def push(self, worker, now: Optional[int] = None) -> bool:
+        """Stamp and publish worker; False (and not stored) once closed."""
+        lock = self._lock
+        lock.acquire()
+        try:
+            if self._closed:
+                return False
+            if now is None:
+                now = time.monotonic_ns()
+            worker.idle_since = now
+            items = self._items
+            items.append(worker)
+            self._stamp_sum += now
+            if len(items) > self._peak:
+                self._peak = len(items)
+            return True
+        finally:
+            lock.release()
 
     def pop(self):
-        i = self._shard_index()
-        shards = self._shards
-        for off in range(self._nshards):
-            w = shards[(i + off) % self._nshards].pop(self._hook)
-            if w is not None:
-                return w
-        return None
+        """Remove and return the newest worker, or None when empty."""
+        lock = self._lock
+        lock.acquire()
+        try:
+            items = self._items
+            if not items:
+                return None
+            w = items.pop()
+            self._stamp_sum -= w.idle_since
+            self._pops += 1
+            return w
+        finally:
+            lock.release()
+
+    def _take_front(self, k: int) -> List:  # caller holds the lock
+        out = self._items[:k]
+        del self._items[:k]
+        self._stamp_sum -= sum(w.idle_since for w in out)
+        return out
 
     def cull_oldest(self, k: int) -> List:
+        """Remove up to k oldest workers; returns them oldest-first."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        if self._nshards == 1:
-            return self._shards[0].cull_tail(k)
-        removed = []
-        for _ in range(k):
-            oldest = None
-            pick = None
-            for s in self._shards:
-                stamp = s.oldest_stamp()
-                if stamp is not None and (oldest is None or stamp < oldest):
-                    oldest, pick = stamp, s
-            if pick is None:
-                break
-            removed.extend(pick.cull_tail(1))
-        return removed
+        with self._lock:
+            return self._take_front(k)
 
     def cull_older_than(self, min_idle_since: int) -> List:
-        removed = []
-        for s in self._shards:
-            removed.extend(s.cull_older_than(min_idle_since))
-        removed.sort(key=lambda w: w.idle_since)
-        return removed
+        """Remove every worker stamped before min_idle_since (a front run)."""
+        with self._lock:
+            k = 0
+            for w in self._items:
+                if w.idle_since >= min_idle_since:
+                    break
+                k += 1
+            return self._take_front(k)
+
+    def close(self) -> List:
+        """Drain the store and refuse later pushes; returns the drained."""
+        with self._lock:
+            self._closed = True
+            return self._take_front(len(self._items))
 
     def integral(self, now: Optional[int] = None) -> float:
-        """Sum of idle ages over linked workers, in thread-seconds."""
+        """Sum of idle ages of the stored workers, in thread-seconds."""
         if now is None:
             now = time.monotonic_ns()
-        return sum(s.integral_ns(now) for s in self._shards) / 1e9
+        with self._lock:
+            return (len(self._items) * now - self._stamp_sum) / 1e9
 
     def traverse_locked(self, fn: Callable):
-        """Run fn(worker) for each linked worker under removal serialization."""
-        for s in self._shards:
-            s.traverse_locked(fn)
+        """Run fn(worker) for each stored worker, newest first, under the lock."""
+        with self._lock:
+            for w in reversed(self._items):
+                fn(w)
 
     def snapshot(self) -> List:
-        """Linked workers newest-first (single consistent pass per shard)."""
-        out = []
-        self.traverse_locked(out.append)
-        return out
+        """Stored workers newest-first, from one consistent pass."""
+        with self._lock:
+            return self._items[::-1]
 
     @property
     def count(self) -> int:
-        return sum(s.head.count for s in self._shards)
+        return len(self._items)
 
     @property
     def peak(self) -> int:
-        return sum(s.head.peak for s in self._shards)
+        return self._peak
+
+    @property
+    def pops(self) -> int:  # successful pops since creation
+        return self._pops

@@ -139,15 +139,21 @@ def reap(store, now: int, cfg: RetentionConfig) -> List:
     if pol is Policy.AGE_OUT:
         return store.cull_older_than(now - int(cfg.max_idle_age * _NS))
     if pol is Policy.INTEGRAL_BUDGET:
-        culled = []
-        # each cull removes the largest single contribution, so the loop
-        # strictly decreases the integral and terminates
-        while store.integral(now) > cfg.budget:
-            got = store.cull_oldest(1)
-            if not got:
+        if store.integral(now) <= cfg.budget:  # O(1): the usual pass
+            return []
+        # one pass over one snapshot: count the oldest workers whose removal
+        # brings the integral within budget, then cull them in one call.
+        # Concurrent spawns pop only the newest, so the k oldest stay the
+        # same workers unless the store drains meanwhile.
+        snap = store.snapshot()  # newest first
+        total_ns = len(snap) * now - sum(w.idle_since for w in snap)
+        k = 0
+        for w in reversed(snap):
+            if total_ns / 1e9 <= cfg.budget:
                 break
-            culled.extend(got)
-        return culled
+            total_ns -= now - w.idle_since
+            k += 1
+        return store.cull_oldest(k)
     return []
 
 

@@ -15,6 +15,12 @@ Fast-path rules, in order, for every recycle:
 Joiners therefore never observe a worker in the store whose task has not
 completed.
 
+A cache hit takes the store's lock once (the pop, which also counts the
+hit) and releases the worker's park lock; it takes no runtime lock. Each
+worker owns one park lock for life: a successful acquire leaves it held,
+which re-arms it, and whoever removes a worker from the store releases it
+exactly once.
+
 Set ``THREADCACHE=0`` to disable caching entirely: every spawn is then a
 physical create and every exit a physical exit.
 """
@@ -203,14 +209,13 @@ class JoinHandle:
 class Worker:
     """One physical thread: identity, state, park channel, scratch stack."""
 
-    __slots__ = ("worker_id", "state", "idle_since", "next_idle", "ident",
+    __slots__ = ("worker_id", "state", "idle_since", "ident",
                  "stack_extent", "released", "_park_lock", "_box")
 
     def __init__(self, worker_id: int, arena_bytes: int = 0):
         self.worker_id = worker_id
         self.state = WorkerState.NASCENT
         self.idle_since = 0
-        self.next_idle = None
         self.ident = None
         self.stack_extent = mmap.mmap(-1, arena_bytes) if arena_bytes else None
         self.released = False
@@ -229,24 +234,23 @@ class ThreadCache:
 
     def __init__(self, enabled: Optional[bool] = None,
                  retention: Optional[RetentionConfig] = None,
-                 shards: int = 1, arena_bytes: int = 65536):
+                 arena_bytes: int = 65536):
         if enabled is None:
             enabled = os.environ.get("THREADCACHE", "1") != "0"
         self._enabled = bool(enabled)
         self._retention = retention if retention is not None \
             else RetentionConfig.from_env()
-        self._store = IdleStore(shards)
+        self._store = IdleStore()
         self._arena_bytes = arena_bytes
         self._fast_admit = self._retention.policy is Policy.UNBOUNDED
+        # cold-path counters; cache hits are counted by the store's pops
         self._count_lock = threading.Lock()
-        self._spawns = 0
-        self._hits = 0
         self._creates = 0
+        self._failed = 0
         self._culls = 0
         self._worker_ids = itertools.count(1)
         self._reset_hooks: List[Callable] = []
         self._threads: List[_OSThread] = []
-        self._closed = False
         self._stop_event = threading.Event()
         self._reaper = None
         if self._enabled and self._retention.needs_reaper:
@@ -276,9 +280,6 @@ class ThreadCache:
         if self._enabled:
             w = self._store.pop()
             if w is not None:
-                with self._count_lock:
-                    self._spawns += 1
-                    self._hits += 1
                 task.worker_ident = w.ident
                 w._box = task
                 w._park_lock.release()
@@ -290,23 +291,27 @@ class ThreadCache:
             t.start()
         except BaseException as exc:
             with self._count_lock:
-                self._spawns += 1
+                self._failed += 1
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
         w.ident = t.ident
         task.worker_ident = t.ident
         with self._count_lock:
-            self._spawns += 1
             self._creates += 1
             self._threads.append(t)
         return task
 
     def stats(self) -> CacheStats:
-        """Snapshot of the counters; monotonic but not mutually linearized."""
+        """Snapshot of the counters; monotonic but not mutually linearized.
+
+        spawns_total is cache hits + physical creates + failed spawns.
+        """
         with self._count_lock:
-            s, h, c, k = self._spawns, self._hits, self._creates, self._culls
-        return CacheStats(spawns_total=s, cache_hits=h, physical_creates=c,
-                          physical_culls=k, current_idle=self._store.count,
-                          peak_idle=self._store.peak)
+            c, f, k = self._creates, self._failed, self._culls
+        store = self._store
+        h = store.pops
+        return CacheStats(spawns_total=h + c + f, cache_hits=h,
+                          physical_creates=c, physical_culls=k,
+                          current_idle=store.count, peak_idle=store.peak)
 
     def add_reset_hook(self, fn: Callable):
         """Register a best-effort per-dispatch initializer.
@@ -349,13 +354,13 @@ class ThreadCache:
         return released[0]
 
     def shutdown(self, join: bool = True, timeout: float = 5.0):
-        """Terminate idle workers and the reaper; running tasks finish first."""
-        self._closed = True
+        """Terminate idle workers and the reaper; running tasks finish first.
+
+        Closing the store drains it in one step; a worker that finishes its
+        task afterwards finds its push refused and exits.
+        """
         self._stop_event.set()
-        while True:
-            w = self._store.pop()
-            if w is None:
-                break
+        for w in self._store.close():
             self._terminate_worker(w)
         if join:
             deadline = time.monotonic() + timeout
@@ -373,14 +378,14 @@ class ThreadCache:
         w._park_lock.release()
 
     def _dispatch_loop(self, worker: Worker, task: JoinHandle):
-        alloc = _thread.allocate_lock
+        park = worker._park_lock
         store = self._store
         enabled = self._enabled
         fast = self._fast_admit
+        running, idle = WorkerState.RUNNING, WorkerState.IDLE  # enum lookups
         worker.ident = threading.get_ident()
         while True:
-            worker.state = WorkerState.RUNNING
-            worker.released = False
+            worker.state = running
             task.worker_id = worker.worker_id
             _current.ctx = (self, worker, task)
             if self._reset_hooks:
@@ -399,14 +404,9 @@ class ThreadCache:
             except BaseException as exc:
                 status = _Poisoned(exc)
             _current.ctx = None
-            # re-arm the park channel before the worker becomes reachable
-            lk = alloc()
-            lk.acquire()
-            worker._park_lock = lk
-            worker._box = None
             task._fire(status)  # latch fires strictly before publication
             task = None
-            if not enabled or self._closed:
+            if not enabled:
                 break
             if not fast:
                 decision = _retention.admit(worker, store,
@@ -414,14 +414,17 @@ class ThreadCache:
                                             self._retention)
                 if decision.verdict is _retention.Verdict.TERMINATE:
                     break
-                worker.state = WorkerState.IDLE
-                store.push(worker)
+                worker.state = idle
+                parked = store.push(worker)
                 for ev in decision.evictions:
                     self._terminate_worker(ev)
+                if not parked:  # store closed by shutdown
+                    break
             else:
-                worker.state = WorkerState.IDLE
-                store.push(worker)
-            lk.acquire()  # park until next task or terminate order
+                worker.state = idle
+                if not store.push(worker):  # store closed by shutdown
+                    break
+            park.acquire()  # until next task or terminate order; re-arms
             task = worker._box
             worker._box = None
             if task is _TERMINATE_ORDER:

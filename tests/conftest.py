@@ -4,14 +4,13 @@ import pytest
 
 
 class FakeWorker:
-    """Minimal stand-in with the intrusive attributes the store needs."""
+    """Minimal stand-in with the attributes the store and policies touch."""
 
-    __slots__ = ("worker_id", "next_idle", "idle_since", "state",
+    __slots__ = ("worker_id", "idle_since", "state",
                  "stack_extent", "released", "_park_lock", "_box")
 
     def __init__(self, worker_id):
         self.worker_id = worker_id
-        self.next_idle = None
         self.idle_since = 0
         self.state = None
         self.stack_extent = None

@@ -176,6 +176,20 @@ class TestForkJoin:
         finally:
             rt.shutdown(join=False)
 
+    def test_sorted_but_wrong_output_fails_gate(self, monkeypatch):
+        # sorted and of the right length, yet one element is dropped and
+        # another duplicated: only out == sorted(data) catches it
+        def corrupt(rt, data, cutoff):
+            out = sorted(data)
+            out[-1] = out[-2]
+            return out
+
+        monkeypatch.setattr(bench, "forkjoin_sort", corrupt)
+        cfg = BenchConfig(workload="forkjoin", runs=1, mode="cached",
+                          forkjoin_n=1000, cutoff=256)
+        with pytest.raises(GateError):
+            run_workload(cfg, "cached")
+
     def test_bad_cutoff(self):
         rt = ThreadCache(enabled=True)
         try:

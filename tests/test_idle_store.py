@@ -1,5 +1,6 @@
 """Idle store: LIFO behavior, conservation, culling, integral."""
 
+import sys
 import threading
 import time
 from collections import Counter
@@ -196,59 +197,136 @@ class TestRaces:
         # scaled-down here; the full 8x8/1e6 run lives in the acceptance suite
         run_stress(n_ops=40_000, pushers=4, poppers=4)
 
-    def test_suspended_pusher_does_not_block_others(self, fake_workers):
-        # lock-free push: park one pusher between head-read and CAS and
-        # verify another pusher completes meanwhile
-        s = make_store()
-        a, b = fake_workers(2)
-        gate = threading.Event()
-        entered = threading.Event()
-
-        def hook(op, node, succ):
-            if op == "push" and node is a:
-                entered.set()
-                gate.wait(2.0)
-
-        s._hook = hook
-        t = threading.Thread(target=lambda: s.push(a))
-        t.start()
-        assert entered.wait(2.0)
-        s._hook = None
-        s.push(b)  # completes while the first pusher is suspended
-        assert s.count == 1
-        gate.set()
-        t.join()
-        assert s.count == 2
-        got = {s.pop(), s.pop()}
-        assert got == {a, b}
-
-    def test_aba_injected_delay_between_read_and_cas(self, fake_workers):
-        # delay the popper after its head read; a push intervenes; the
-        # pop must retry, never unlink through a stale successor
+    def test_traversal_sees_frozen_list_while_pusher_waits(self, fake_workers):
+        # one lock: a push that arrives during a traversal lands after it
         s = make_store()
         a, b = fake_workers(2)
         s.push(a)
-        pushed = threading.Event()
+        inside = threading.Event()
+        seen = []
 
-        def hook(op, node, succ):
-            if op == "pop" and not pushed.is_set():
-                s._hook = None
-                s.push(b)
-                pushed.set()
-                s._hook = hook
+        def visit(w):
+            seen.append(w)
+            inside.set()
+            time.sleep(0.05)  # the pusher runs meanwhile and must wait
 
-        s._hook = hook
-        got1 = s.pop()
-        s._hook = None
-        got2 = s.pop()
-        assert {got1, got2} == {a, b}
-        assert got1 is b  # LIFO: the intervening push is on top
+        t = threading.Thread(target=s.traverse_locked, args=(visit,))
+        t.start()
+        assert inside.wait(2.0)
+        s.push(b)
+        t.join(2.0)
+        assert not t.is_alive()
+        assert seen == [a]
+        assert s.snapshot() == [b, a]
+
+    def test_reinserted_worker_never_loses_neighbours(self, fake_workers):
+        # the A-B-A shape: a worker popped and pushed again on top of a
+        # newcomer; every worker stays reachable and LIFO order holds
+        s = make_store()
+        a, b = fake_workers(2)
+        s.push(a)
+        assert s.pop() is a
+        s.push(b)
+        s.push(a)
+        assert s.pop() is a
+        assert s.pop() is b
         assert s.pop() is None
+        assert (s.count, s.pops, s.integral(now=10**12)) == (0, 3, 0)
+
+    def test_pop_sees_pushes_from_every_thread(self, fake_workers):
+        s = make_store()
+        ws = fake_workers(8)
+        ts = [threading.Thread(target=s.push, args=(w,)) for w in ws]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join(2.0)
+        assert not any(t.is_alive() for t in ts)
+        got = [s.pop() for _ in range(8)]
+        assert Counter(id(w) for w in got) == Counter(id(w) for w in ws)
+        assert s.peak == 8
+
+    def test_recycled_pool_stress_conserves_and_peak_exact(self):
+        # time-bounded: threads pop a worker and push it back under a tiny
+        # switch interval; a lost or duplicated update breaks the audit
+        pool = [FakeWorker(i) for i in range(32)]
+        s = make_store()
+        for w in pool:
+            s.push(w)
+        popped = [0] * 8
+        stop = threading.Event()
+
+        def churn(i):
+            while not stop.is_set():
+                w = s.pop()
+                if w is not None:
+                    popped[i] += 1
+                    s.push(w)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ts = [threading.Thread(target=churn, args=(i,)) for i in range(8)]
+            for t in ts:
+                t.start()
+            time.sleep(0.5)
+            stop.set()
+            for t in ts:
+                t.join(5.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in ts)
+        assert sum(popped) > 0
+        assert s.pops == sum(popped)  # exact: counted inside the lock
+        assert s.peak == len(pool)    # never above the pool, reached at fill
+        left = s.snapshot()
+        assert Counter(id(w) for w in left) == Counter(id(w) for w in pool)
+        now = time.monotonic_ns()
+        direct = sum(now - w.idle_since for w in left) / 1e9
+        assert s.integral(now=now) == direct
 
 
-def run_stress(n_ops, pushers, poppers, shards=1):
+class TestClose:
+    def test_close_drains_oldest_first_and_refuses_pushes(self, fake_workers):
+        a, b, c = fake_workers(3)
+        s = make_store()
+        for i, w in enumerate((a, b)):
+            assert s.push(w, now=i) is True
+        assert s.close() == [a, b]
+        assert s.count == 0 and s.integral(now=5) == 0
+        assert s.push(c) is False
+        assert s.count == 0 and s.pop() is None
+        assert s.close() == []
+
+    def test_close_races_pushes_without_losing_workers(self):
+        # every worker is either refused or drained, never left behind
+        for _ in range(50):
+            s = make_store()
+            ws = [FakeWorker(i) for i in range(16)]
+            accepted = [None] * len(ws)
+            go = threading.Barrier(len(ws) + 1)
+
+            def push(i):
+                go.wait()
+                accepted[i] = s.push(ws[i])
+
+            ts = [threading.Thread(target=push, args=(i,))
+                  for i in range(len(ws))]
+            for t in ts:
+                t.start()
+            go.wait()
+            drained = s.close()
+            for t in ts:
+                t.join(2.0)
+            assert not any(t.is_alive() for t in ts)
+            assert s.count == 0
+            assert sorted(w.worker_id for w in drained) == \
+                [i for i, ok in enumerate(accepted) if ok]
+
+
+def run_stress(n_ops, pushers, poppers):
     """Element-conservation stress; returns (pushed, popped) multisets."""
-    s = IdleStore(shards=shards)
+    s = IdleStore()
     per = n_ops // (2 * pushers)
     pools = [[FakeWorker((p, i)) for i in range(per)] for p in range(pushers)]
     popped = [[] for _ in range(poppers)]
@@ -289,32 +367,6 @@ def run_stress(n_ops, pushers, poppers, shards=1):
     return want, got
 
 
-class TestSharded:
-    def test_sharded_conservation(self):
-        run_stress(n_ops=20_000, pushers=4, poppers=4, shards=4)
-
-    def test_sharded_pop_scans_all_shards(self, fake_workers):
-        s = make_store(shards=4)
-        ws = fake_workers(8)
-        # force workers onto specific shards
-        for i, w in enumerate(ws):
-            s._shards[i % 4].push(w, now=i, hook=None)
-        got = [s.pop() for _ in range(8)]
-        assert Counter(id(w) for w in got) == Counter(id(w) for w in ws)
-
-    def test_sharded_cull_is_globally_oldest_first(self, fake_workers):
-        s = make_store(shards=3)
-        ws = fake_workers(9)
-        for i, w in enumerate(ws):
-            s._shards[i % 3].push(w, now=i, hook=None)
-        got = s.cull_oldest(4)
-        assert [w.idle_since for w in got] == [0, 1, 2, 3]
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            IdleStore(shards=0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(["push", "pop", "cull1", "cull2"]),
                 max_size=60))
@@ -337,3 +389,34 @@ def test_sequential_history_matches_reference_stack(ops):
             k = int(op[-1])
             assert s.cull_oldest(k) == ref.cull_oldest(k)
         assert s.count == len(ref.items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["push", "pop", "cull", "age"]),
+                          st.integers(0, 3)), max_size=60),
+       st.integers(0, 10**9))
+def test_integral_matches_direct_sum_after_any_history(ops, later):
+    """The O(1) integral equals the direct sum of idle ages, at any time."""
+    s = IdleStore()
+    ref = ReferenceStack()
+    stamp = {}  # the test's own record of each push time
+    now = 0
+    for serial, (op, arg) in enumerate(ops):
+        now += 1 + arg * 1000
+        if op == "push":
+            w = FakeWorker(serial)
+            s.push(w, now=now)
+            ref.push(w)
+            stamp[w] = now
+        elif op == "pop":
+            assert s.pop() is ref.pop()
+        elif op == "cull":
+            assert s.cull_oldest(arg) == ref.cull_oldest(arg)
+        else:
+            cutoff = now - arg * 1000
+            k = sum(1 for w in ref.items if stamp[w] < cutoff)
+            assert s.cull_older_than(cutoff) == ref.cull_oldest(k)
+        t = now + later
+        direct = sum(t - stamp[w] for w in ref.items) / 1e9
+        assert s.integral(now=t) == direct
+        assert s.snapshot() == ref.items[::-1]

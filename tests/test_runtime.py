@@ -1,6 +1,7 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
 import random
+import sys
 import threading
 import time
 
@@ -327,6 +328,81 @@ class TestRecyclingInvariants:
         rt = runtime(enabled=True)
         rt.add_reset_hook(lambda w: 1 // 0)
         assert rt.spawn(lambda: 5).join() == 5
+
+
+class TestTinySwitchInterval:
+    def test_counters_exact_under_concurrent_churn(self, runtime):
+        # time-bounded; hits are counted by the store's pop, creates and
+        # failures by the runtime, and their sum must be every spawn made
+        rt = runtime(enabled=True)
+        made = [0] * 8
+        stop = threading.Event()
+
+        def creator(i):
+            while not stop.is_set():
+                rt.spawn(lambda: None).join()
+                made[i] += 1
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ts = [threading.Thread(target=creator, args=(i,))
+                  for i in range(len(made))]
+            for t in ts:
+                t.start()
+            time.sleep(0.5)
+            stop.set()
+            for t in ts:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in ts)
+        s = rt.stats()
+        assert s.spawns_total == sum(made) > 0
+        assert s.spawns_total == s.cache_hits + s.physical_creates
+        assert s.cache_hits == rt._store.pops
+        # every worker ends up idle exactly once: no loss, no duplicate
+        assert wait_until(lambda: rt.stats().current_idle
+                          == rt.stats().physical_creates)
+        idle = rt._store.snapshot()
+        assert len({id(w) for w in idle}) == len(idle)
+        assert rt.stats().peak_idle <= s.physical_creates
+
+
+class TestShutdown:
+    def test_no_worker_left_parked_after_racing_shutdown(self):
+        # 64 tasks finish together while shutdown drains the store; a
+        # worker that pushes after the drain must exit, not park
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                rt = ThreadCache(enabled=True)
+                go = threading.Event()
+                handles = [rt.spawn(go.wait, 5.0) for _ in range(64)]
+                go.set()
+                rt.shutdown(join=True, timeout=10.0)
+                assert all(h.wait(5.0) for h in handles)
+                assert rt.stats().current_idle == 0
+                assert not any(t.is_alive() for t in rt._threads)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_drained_workers_are_not_cache_hits(self, runtime):
+        rt = runtime(enabled=True)
+        rt.spawn(lambda: None).join()
+        assert wait_until(lambda: rt.stats().current_idle == 1)
+        rt.shutdown(join=True, timeout=5.0)
+        s = rt.stats()
+        assert (s.spawns_total, s.cache_hits, s.current_idle) == (1, 0, 0)
+        assert s.physical_culls == 1
+
+    def test_worker_started_after_shutdown_exits(self, runtime):
+        rt = runtime(enabled=True)
+        rt.shutdown(join=True, timeout=5.0)
+        assert rt.spawn(lambda: 3).join() == 3
+        assert wait_until(lambda: rt.stats().physical_culls == 1)
+        assert rt.stats().current_idle == 0
 
 
 class TestDisabledMode:
