@@ -8,7 +8,7 @@ physical threads. Includes pluggable retention policies, a drop-in
 
 from .idle_store import IdleStore
 from .retention import (AdmitDecision, Policy, RetentionConfig, Verdict,
-                        admit, reap, release_stack_memory)
+                        admit, reap)
 from .runtime import (CacheStats, DeadlockError, JoinHandle, SpawnError,
                       TaskPoisoned, ThreadCache, UsageError, Worker,
                       WorkerState, current_task, default_runtime,
@@ -19,7 +19,6 @@ __all__ = [
     "JoinHandle", "Policy", "RetentionConfig", "SpawnError", "TaskPoisoned",
     "ThreadCache", "UsageError", "Verdict", "Worker", "WorkerState",
     "admit", "current_task", "default_runtime", "logical_exit", "reap",
-    "release_stack_memory",
 ]
 
 __version__ = "0.1.0"

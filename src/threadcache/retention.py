@@ -11,22 +11,17 @@ Four policies decide which idle workers are kept:
 * ``INTEGRAL_BUDGET`` — admit everything; reap culls oldest-first until the
   thread-seconds integral of the idle list drops to ``budget``.
 
-Independently of the policy, workers idle longer than ``release_after``
-seconds can have their scratch-stack pages handed back to the OS with
-madvise(MADV_DONTNEED); the pages come back demand-zero-filled, so the
-worker still runs correctly when next dispatched.
+Only the two reaping policies need the runtime's background reaper. An idle
+worker holds nothing but its OS thread; that thread's stack is the thread
+library's, which keeps the stacks of exited threads for reuse by new ones.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
-import mmap
 import os
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional
-
-log = logging.getLogger(__name__)
 
 _NS = 1_000_000_000
 
@@ -50,7 +45,6 @@ class RetentionConfig:
     max_idle_age: float = 30.0       # seconds, AGE_OUT only
     budget: float = 60.0             # thread-seconds, INTEGRAL_BUDGET only
     reap_period: float = 1.0         # seconds, maintenance cadence
-    release_after: Optional[float] = None  # seconds; None disables release
     keep_incoming: bool = True       # CLAMP: evict oldest vs refuse incoming
 
     def __post_init__(self):
@@ -65,8 +59,7 @@ class RetentionConfig:
 
     @property
     def needs_reaper(self) -> bool:
-        return (self.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
-                or self.release_after is not None)
+        return self.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "RetentionConfig":
@@ -88,8 +81,6 @@ class RetentionConfig:
             kw["budget"] = int(env["THREADCACHE_BUDGET_MS"]) / 1000.0
         if "THREADCACHE_REAP_MS" in env:
             kw["reap_period"] = int(env["THREADCACHE_REAP_MS"]) / 1000.0
-        if "THREADCACHE_RELEASE_MS" in env:
-            kw["release_after"] = int(env["THREADCACHE_RELEASE_MS"]) / 1000.0
         return cls(**kw)
 
 
@@ -155,23 +146,3 @@ def reap(store, now: int, cfg: RetentionConfig) -> List:
             k += 1
         return store.cull_oldest(k)
     return []
-
-
-def release_stack_memory(worker) -> bool:
-    """Advise the OS that the worker's idle scratch-stack pages may be
-    reclaimed (demand-zero-filled on next touch).
-
-    Returns False when unsupported or when the worker has no scratch
-    arena; advisory failures are logged and ignored, never fatal.
-    """
-    arena = getattr(worker, "stack_extent", None)
-    if arena is None or not hasattr(mmap, "MADV_DONTNEED"):
-        return False
-    try:
-        arena.madvise(mmap.MADV_DONTNEED)
-    except (OSError, ValueError) as exc:
-        log.warning("stack release advisory failed for %s: %s",
-                    getattr(worker, "worker_id", "?"), exc)
-        return False
-    worker.released = True
-    return True

@@ -31,13 +31,12 @@ import _thread
 import enum
 import itertools
 import logging
-import mmap
 import os
 import threading
 import time
 from dataclasses import dataclass
 from threading import Thread as _OSThread  # real class; immune to shim patching
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from . import retention as _retention
 from .idle_store import IdleStore
@@ -207,18 +206,16 @@ class JoinHandle:
 
 
 class Worker:
-    """One physical thread: identity, state, park channel, scratch stack."""
+    """One physical thread: identity, state and park channel."""
 
     __slots__ = ("worker_id", "state", "idle_since", "ident",
-                 "stack_extent", "released", "_park_lock", "_box")
+                 "_park_lock", "_box")
 
-    def __init__(self, worker_id: int, arena_bytes: int = 0):
+    def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.state = WorkerState.NASCENT
         self.idle_since = 0
         self.ident = None
-        self.stack_extent = mmap.mmap(-1, arena_bytes) if arena_bytes else None
-        self.released = False
         lk = _thread.allocate_lock()
         lk.acquire()
         self._park_lock = lk
@@ -233,15 +230,13 @@ class ThreadCache:
     """
 
     def __init__(self, enabled: Optional[bool] = None,
-                 retention: Optional[RetentionConfig] = None,
-                 arena_bytes: int = 65536):
+                 retention: Optional[RetentionConfig] = None):
         if enabled is None:
             enabled = os.environ.get("THREADCACHE", "1") != "0"
         self._enabled = bool(enabled)
         self._retention = retention if retention is not None \
             else RetentionConfig.from_env()
         self._store = IdleStore()
-        self._arena_bytes = arena_bytes
         self._fast_admit = self._retention.policy is Policy.UNBOUNDED
         # cold-path counters; cache hits are counted by the store's pops
         self._count_lock = threading.Lock()
@@ -250,7 +245,7 @@ class ThreadCache:
         self._culls = 0
         self._worker_ids = itertools.count(1)
         self._reset_hooks: List[Callable] = []
-        self._threads: List[_OSThread] = []
+        self._live: Dict[int, _OSThread] = {}  # worker_id -> thread, live only
         self._stop_event = threading.Event()
         self._reaper = None
         if self._enabled and self._retention.needs_reaper:
@@ -268,11 +263,18 @@ class ThreadCache:
     def retention(self) -> RetentionConfig:
         return self._retention
 
+    @property
+    def closed(self) -> bool:
+        """True once shutdown has begun; later spawns raise UsageError."""
+        return self._stop_event.is_set()
+
     def spawn(self, entry: Callable, arg: Any = _NO_ARG) -> JoinHandle:
         """Start a logical thread; reuses an idle worker when one exists.
 
         Raises SpawnError if the physical-creation fallback fails; the task
-        is discarded and only spawns_total reflects the attempt.
+        is discarded and only spawns_total reflects the attempt. Raises
+        UsageError after shutdown: the store is empty then, so the check
+        sits on the create path only.
         """
         if entry is None:
             raise UsageError("entry must be callable")
@@ -284,20 +286,27 @@ class ThreadCache:
                 w._box = task
                 w._park_lock.release()
                 return task
-        w = Worker(next(self._worker_ids), self._arena_bytes)
+        w = Worker(next(self._worker_ids))
+        wid = w.worker_id
+        t = _OSThread(target=self._dispatch_loop, args=(w, task),
+                      name=f"threadcache-worker-{wid}", daemon=True)
+        # registered and counted before start: a disabled-mode worker can
+        # exit, and unregister itself, before start() returns
+        with self._count_lock:
+            if self._stop_event.is_set():
+                raise UsageError("spawn after shutdown")
+            self._live[wid] = t
+            self._creates += 1
         try:
-            t = _OSThread(target=self._dispatch_loop, args=(w, task),
-                          name=f"threadcache-worker-{w.worker_id}", daemon=True)
             t.start()
         except BaseException as exc:
             with self._count_lock:
+                del self._live[wid]
+                self._creates -= 1
                 self._failed += 1
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
         w.ident = t.ident
         task.worker_ident = t.ident
-        with self._count_lock:
-            self._creates += 1
-            self._threads.append(t)
         return task
 
     def stats(self) -> CacheStats:
@@ -335,29 +344,12 @@ class ThreadCache:
             self._terminate_worker(w)
         return len(culled)
 
-    def release_idle_stacks(self, now: Optional[int] = None) -> int:
-        """Advise the OS to reclaim scratch stacks of long-idle workers."""
-        cfg = self._retention
-        if cfg.release_after is None:
-            return 0
-        if now is None:
-            now = time.monotonic_ns()
-        threshold = int(cfg.release_after * 1e9)
-        released = [0]
-
-        def maybe(w):
-            if not w.released and now - w.idle_since > threshold:
-                if _retention.release_stack_memory(w):
-                    released[0] += 1
-
-        self._store.traverse_locked(maybe)
-        return released[0]
-
     def shutdown(self, join: bool = True, timeout: float = 5.0):
         """Terminate idle workers and the reaper; running tasks finish first.
 
         Closing the store drains it in one step; a worker that finishes its
-        task afterwards finds its push refused and exits.
+        task afterwards finds its push refused and exits. With ``join`` it
+        waits, up to ``timeout`` in all, for every live worker to exit.
         """
         self._stop_event.set()
         for w in self._store.close():
@@ -367,7 +359,7 @@ class ThreadCache:
             if self._reaper is not None:
                 self._reaper.join(max(0.0, deadline - time.monotonic()))
             with self._count_lock:
-                threads = list(self._threads)
+                threads = list(self._live.values())
             for t in threads:
                 t.join(max(0.0, deadline - time.monotonic()))
 
@@ -432,13 +424,13 @@ class ThreadCache:
         worker.state = WorkerState.TERMINATING
         with self._count_lock:
             self._culls += 1
+            del self._live[worker.worker_id]
 
     def _reaper_loop(self):
         cfg = self._retention
         while not self._stop_event.wait(cfg.reap_period):
             try:
                 self.reap()
-                self.release_idle_stacks()
             except Exception:
                 log.exception("reaper pass failed")
 

@@ -7,9 +7,15 @@ resolved exactly once and everything falls back to them whenever a request
 is not cache-eligible:
 
 * a nonzero ``threading.stack_size()`` is in effect (custom stack sizes are
-  never served from the cache), or
+  never served from the cache),
 * the active runtime is disabled (``THREADCACHE=0``), which makes the shim
-  byte-for-byte passthrough.
+  byte-for-byte passthrough, or
+* the active runtime has been shut down, so unmodified code still starts
+  threads after ``ThreadCache.shutdown()``.
+
+The shim keeps no table of the threads it started: each ``CachedThread``
+holds its own runtime handle, and a raw ``start_new_thread`` start is
+detached, so nothing outlives a thread that is never joined.
 
 Thread exit needs no separate patch: a ``SystemExit`` raised inside a
 managed worker (what ``_thread.exit()`` raises) is absorbed by the dispatch
@@ -28,19 +34,19 @@ import _thread
 import sys
 import threading
 import traceback
-from typing import Optional
+import types
+from typing import Mapping, Optional
 
 from .runtime import ThreadCache, current_task, default_runtime
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
-           "handle_map", "CachedThread", "HandleMap"]
+           "handle_map", "CachedThread"]
 
 
 class _RealSymbols:
     """Original platform entry points, resolved once at first install."""
     thread_cls = None
     start_new_thread = None
-    exit = None
     resolved = False
 
 
@@ -54,46 +60,15 @@ def _resolve_once():
     if not _real.resolved:
         _real.thread_cls = threading.Thread
         _real.start_new_thread = _thread.start_new_thread
-        _real.exit = _thread.exit
         _real.resolved = True
 
 
 _resolve_once()  # imported before any patching can occur
 
 
-class HandleMap:
-    """Live platform-handle -> task associations for managed threads.
-
-    Entries are removed when the handle is resolved (joined or, for
-    fire-and-forget creations, when the detached task completes).
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._map = {}
-
-    def register(self, key, task):
-        with self._lock:
-            self._map[key] = task
-
-    def lookup(self, key):
-        with self._lock:
-            return self._map.get(key)
-
-    def remove(self, key):
-        with self._lock:
-            self._map.pop(key, None)
-
-    def __len__(self):
-        with self._lock:
-            return len(self._map)
-
-
-_handles = HandleMap()
-
-
 def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
-    return rt is not None and rt.enabled and threading.stack_size() == 0
+    return (rt is not None and rt.enabled and not rt.closed
+            and threading.stack_size() == 0)
 
 
 class CachedThread(_real.thread_cls):
@@ -112,7 +87,6 @@ class CachedThread(_real.thread_cls):
         self._cache_handle = handle
         self._ident = handle.worker_ident
         self._started.set()
-        _handles.register(self, handle)
 
     def _cache_body(self):
         self._ident = threading.get_ident()
@@ -134,9 +108,7 @@ class CachedThread(_real.thread_cls):
             return _real.thread_cls.join(self, timeout)
         if current_task() is handle:
             raise RuntimeError("cannot join current thread")
-        done = handle.wait(timeout)
-        if done:
-            _handles.remove(self)
+        handle.wait(timeout)
 
     def is_alive(self):
         handle = getattr(self, "_cache_handle", None)
@@ -155,7 +127,6 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
         kwargs = {}
     if not _cache_eligible(rt):
         return _real.start_new_thread(function, args, kwargs)
-    registered = threading.Event()
 
     def body():
         try:
@@ -166,14 +137,9 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
             print(f"Unhandled exception in thread started by {function!r}",
                   file=sys.stderr)
             traceback.print_exc()
-        finally:
-            registered.wait(1.0)  # spawn may still be publishing the handle
-            _handles.remove(body)
 
     handle = rt.spawn(body)
     handle.detach()
-    _handles.register(body, handle)
-    registered.set()
     return handle.worker_ident
 
 
@@ -208,5 +174,10 @@ def active_runtime() -> Optional[ThreadCache]:
     return _runtime
 
 
-def handle_map() -> HandleMap:
-    return _handles
+_NO_HANDLES: Mapping = types.MappingProxyType({})
+
+
+def handle_map() -> Mapping:
+    """Always empty: the shim tracks no handles, as each CachedThread holds
+    its own and raw starts are detached. Kept for callers that count it."""
+    return _NO_HANDLES

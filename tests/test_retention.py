@@ -1,7 +1,5 @@
-"""Retention policies: admit, reap, env config, stack-page release."""
+"""Retention policies: admit, reap, env config."""
 
-import mmap
-import os
 import random
 
 import pytest
@@ -10,10 +8,9 @@ from hypothesis import strategies as st
 
 from threadcache.idle_store import IdleStore
 from threadcache.retention import (AdmitDecision, Policy, RetentionConfig,
-                                   Verdict, admit, reap,
-                                   release_stack_memory)
+                                   Verdict, admit, reap)
 
-from conftest import FakeWorker, wait_until
+from conftest import FakeWorker
 from oracles import PolicySimulator, SimEvent
 
 NS = 1_000_000_000
@@ -49,13 +46,11 @@ class TestConfig:
     def test_from_env(self):
         env = {"THREADCACHE_POLICY": "integral",
                "THREADCACHE_BUDGET_MS": "2500",
-               "THREADCACHE_REAP_MS": "100",
-               "THREADCACHE_RELEASE_MS": "5000"}
+               "THREADCACHE_REAP_MS": "100"}
         cfg = RetentionConfig.from_env(env)
         assert cfg.policy is Policy.INTEGRAL_BUDGET
         assert cfg.budget == 2.5
         assert cfg.reap_period == 0.1
-        assert cfg.release_after == 5.0
         assert cfg.needs_reaper
 
     def test_from_env_clamp_and_age(self):
@@ -253,80 +248,3 @@ def test_policy_engine_matches_simulator_hypothesis(data):
         t += data.draw(st.integers(1, 2 * NS))
         events.append(SimEvent(k, t))
     run_script_pair(cfg, events)
-
-
-# ---------------------------------------------------------------------------
-# advisory stack release
-
-def rss_kib():
-    with open("/proc/self/status") as f:
-        for line in f:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
-    raise RuntimeError("no VmRSS")
-
-
-class TestStackRelease:
-    def test_worker_without_arena_unsupported(self):
-        w = FakeWorker(0)
-        assert release_stack_memory(w) is False
-
-    def test_release_marks_worker(self):
-        from threadcache.runtime import Worker
-        w = Worker(1, arena_bytes=65536)
-        w.stack_extent[:] = b"\xab" * 65536
-        assert release_stack_memory(w) is True
-        assert w.released
-
-    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"),
-                        reason="madvise unavailable")
-    def test_resident_set_drops_after_release(self):
-        from threadcache.runtime import Worker
-        mib = 1024 * 1024
-        workers = [Worker(i, arena_bytes=mib) for i in range(64)]
-        for w in workers:
-            w.stack_extent[:] = b"\x5a" * mib  # dirty every page
-        before = rss_kib()
-        for w in workers:
-            assert release_stack_memory(w)
-        after = rss_kib()
-        assert after < before
-
-    def test_released_worker_serves_next_task_correctly(self, runtime):
-        import threadcache
-        rt = runtime(enabled=True, arena_bytes=262144)
-
-        def fill(byte):
-            w = rt.current_worker()
-            w.stack_extent[:] = bytes([byte]) * len(w.stack_extent)
-            return sum(w.stack_extent[i] for i in range(0, 262144, 4096))
-
-        first = rt.spawn(fill, 0x11).join()
-        assert wait_until(lambda: rt.stats().current_idle == 1)
-        released = []
-        rt._store.traverse_locked(
-            lambda w: released.append(release_stack_memory(w)))
-        assert released == [True]
-        # redispatch: the demand-zero pages must behave like fresh memory
-        second = rt.spawn(fill, 0x22).join()
-        assert second == 0x22 * (262144 // 4096)
-        assert first == 0x11 * (262144 // 4096)
-
-    def test_runtime_release_pass_threshold(self, runtime):
-        cfg = RetentionConfig(release_after=0.01, reap_period=10.0)
-        rt = runtime(enabled=True, retention=cfg, arena_bytes=65536)
-        rt.spawn(lambda: None).join()
-        assert wait_until(lambda: rt.stats().current_idle == 1)
-        import time
-        time.sleep(0.05)
-        assert rt.release_idle_stacks() == 1
-        # idempotent until redispatched
-        assert rt.release_idle_stacks() == 0
-
-    def test_release_disabled_never_invoked(self, runtime):
-        rt = runtime(enabled=True,
-                     retention=RetentionConfig(release_after=None))
-        rt.spawn(lambda: None).join()
-        assert wait_until(lambda: rt.stats().current_idle == 1)
-        assert rt.release_idle_stacks() == 0
-        assert all(not w.released for w in rt._store.snapshot())

@@ -14,7 +14,7 @@ from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
                          TaskPoisoned, ThreadCache, UsageError, WorkerState,
                          logical_exit)
 
-from conftest import wait_until
+from conftest import net_new_objects, wait_until
 
 
 class TestSpawnJoin:
@@ -255,6 +255,7 @@ class TestFailureModes:
         s = rt.stats()
         assert s.spawns_total == 1
         assert (s.cache_hits, s.physical_creates, s.physical_culls) == (0, 0, 0)
+        assert rt._live == {}  # a failed start leaves no registration
 
 
 class TestRecyclingInvariants:
@@ -384,7 +385,7 @@ class TestShutdown:
                 rt.shutdown(join=True, timeout=10.0)
                 assert all(h.wait(5.0) for h in handles)
                 assert rt.stats().current_idle == 0
-                assert not any(t.is_alive() for t in rt._threads)
+                assert rt._live == {}
         finally:
             sys.setswitchinterval(old)
 
@@ -397,12 +398,46 @@ class TestShutdown:
         assert (s.spawns_total, s.cache_hits, s.current_idle) == (1, 0, 0)
         assert s.physical_culls == 1
 
-    def test_worker_started_after_shutdown_exits(self, runtime):
-        rt = runtime(enabled=True)
-        rt.shutdown(join=True, timeout=5.0)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_spawn_after_shutdown_raises(self, runtime, enabled):
+        rt = runtime(enabled=enabled)
         assert rt.spawn(lambda: 3).join() == 3
-        assert wait_until(lambda: rt.stats().physical_culls == 1)
-        assert rt.stats().current_idle == 0
+        assert not rt.closed
+        rt.shutdown(join=True, timeout=5.0)
+        assert rt.closed
+        before = rt.stats()
+        with pytest.raises(UsageError):
+            rt.spawn(lambda: 3)
+        assert rt.stats() == before
+        assert rt._live == {}
+
+    def test_join_waits_for_every_worker(self, runtime):
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        handles = [rt.spawn(go.wait, 5.0) for _ in range(8)]
+        idle = rt.spawn(lambda: None)
+        idle.join()
+        idents = {h.worker_ident for h in handles + [idle]}
+        go.set()
+        rt.shutdown(join=True, timeout=10.0)
+        assert all(h.wait(5.0) for h in handles)
+        assert not idents & {t.ident for t in threading.enumerate()}
+        assert rt._live == {}
+        assert rt.stats().physical_culls == rt.stats().physical_creates
+
+
+class TestNoRetention:
+    def test_uncached_spawns_leave_nothing_behind(self, runtime):
+        rt = runtime(enabled=False)
+
+        def all_exited():
+            s = rt.stats()
+            return s.physical_culls == s.physical_creates
+
+        grown = net_new_objects(lambda: rt.spawn(lambda: None).join(), 2000,
+                                all_exited)
+        assert grown < 100, f"{grown} objects retained by 2000 spawns"
+        assert rt.stats().physical_creates == 2020
 
 
 class TestDisabledMode:

@@ -16,7 +16,7 @@ import threadcache.shim as shim
 from threadcache import ThreadCache
 from threadcache.runtime import _reset_default_runtime
 
-from conftest import wait_until
+from conftest import net_new_objects, wait_until
 
 
 @pytest.fixture
@@ -308,18 +308,34 @@ class TestShimCaching:
             shim.uninstall()
             rt.shutdown(join=False)
 
-    def test_handle_map_entries_resolve(self, shimmed):
-        t = threading.Thread(target=lambda: None)
+    def test_shut_down_runtime_falls_back_to_real_threads(self, shimmed):
+        shimmed.shutdown(join=True, timeout=5.0)
+        out = []
+        t = threading.Thread(target=lambda: out.append(1))
         t.start()
-        assert shim.handle_map().lookup(t) is not None
         t.join()
-        assert shim.handle_map().lookup(t) is None
-
-    def test_detached_handle_map_entry_removed(self, shimmed):
         done = threading.Event()
         _thread.start_new_thread(done.set, ())
         assert done.wait(2.0)
-        assert wait_until(lambda: len(shim.handle_map()) == 0)
+        assert out == [1]
+        assert not hasattr(t, "_cache_handle")
+        assert shimmed.stats().spawns_total == 0
+
+    def test_never_joined_threads_leave_nothing_behind(self, shimmed):
+        done = threading.Event()
+
+        def start_unjoined():
+            done.clear()
+            threading.Thread(target=done.set).start()
+            assert done.wait(5.0)
+
+        def all_parked():
+            s = shimmed.stats()
+            return s.current_idle == s.physical_creates
+
+        grown = net_new_objects(start_unjoined, 2000, all_parked)
+        assert grown < 100, f"{grown} objects retained by 2000 threads"
+        assert len(shim.handle_map()) == 0
 
     def test_install_idempotent_and_uninstall_restores(self):
         real = threading.Thread
