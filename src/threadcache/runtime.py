@@ -47,8 +47,17 @@ log = logging.getLogger(__name__)
 _NO_ARG = object()
 _TERMINATE_ORDER = object()
 
-# task context of the calling thread: (runtime, worker, handle) or absent
-_current = threading.local()
+
+class _TaskContext(threading.local):
+    """The worker running on the calling thread, if any.
+
+    Each worker sets ``worker`` once; every other thread reads the class
+    default, so a lookup on a spawner misses without raising.
+    """
+    worker = None
+
+
+_current = _TaskContext()
 
 
 class WorkerState(enum.Enum):
@@ -99,15 +108,16 @@ def logical_exit(status: Any = None):
     recycles. On a thread not managed by any runtime this falls through to
     genuine thread termination.
     """
-    if getattr(_current, "ctx", None) is not None:
+    w = _current.worker
+    if w is not None and w.task is not None:
         raise _LogicalExit(status)
     raise SystemExit(status)
 
 
 def current_task() -> Optional["JoinHandle"]:
     """Handle of the logical thread running on the calling thread, if any."""
-    ctx = getattr(_current, "ctx", None)
-    return ctx[2] if ctx is not None else None
+    w = _current.worker
+    return w.task if w is not None else None
 
 
 @dataclass(frozen=True)
@@ -146,23 +156,18 @@ class JoinHandle:
         self.worker_id = None
         self.worker_ident = None
 
-    def _fire(self, status):
-        self._value = status
-        self._fired = True
-        self._latch.release()
-
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the task completes; True on completion, False on timeout.
 
         Does not consume the handle and may be called by any number of
-        threads.
+        threads. A negative timeout polls, as for ``threading.Thread.join``.
         """
         if self._fired:
             return True
         lk = self._latch
         if timeout is None:
             lk.acquire()
-        elif not lk.acquire(True, timeout):
+        elif not lk.acquire(True, timeout if timeout > 0 else 0):
             return False
         lk.release()  # let further waiters through
         return True
@@ -174,15 +179,18 @@ class JoinHandle:
         raises UsageError without blocking, self-join raises DeadlockError.
         A poisoned task (entry raised) surfaces as TaskPoisoned.
         """
-        ctx = getattr(_current, "ctx", None)
-        if ctx is not None and ctx[2] is self:
+        w = _current.worker
+        if w is not None and w.task is self:
             raise DeadlockError("a task cannot join its own handle")
         st = self._join_state
         if st != JOINABLE:
             raise UsageError("handle already %s" %
                              ("joined" if st == JOINED else "detached"))
         self._join_state = JOINED
-        self.wait()
+        if not self._fired:
+            lk = self._latch
+            lk.acquire()
+            lk.release()  # let waiters through
         v = self._value
         if type(v) is _Poisoned:
             raise TaskPoisoned("task entry raised") from v.exc
@@ -206,16 +214,19 @@ class JoinHandle:
 
 
 class Worker:
-    """One physical thread: identity, state and park channel."""
+    """One physical thread: identity, state, park channel and the runtime and
+    task it serves (``task`` is None outside a dispatch)."""
 
-    __slots__ = ("worker_id", "state", "idle_since", "ident",
+    __slots__ = ("worker_id", "state", "idle_since", "ident", "rt", "task",
                  "_park_lock", "_box")
 
-    def __init__(self, worker_id: int):
+    def __init__(self, worker_id: int, rt: "ThreadCache"):
         self.worker_id = worker_id
         self.state = WorkerState.NASCENT
         self.idle_since = 0
         self.ident = None
+        self.rt = rt
+        self.task = None
         lk = _thread.allocate_lock()
         lk.acquire()
         self._park_lock = lk
@@ -286,9 +297,10 @@ class ThreadCache:
                 w._box = task
                 w._park_lock.release()
                 return task
-        w = Worker(next(self._worker_ids))
+        w = Worker(next(self._worker_ids), self)
         wid = w.worker_id
-        t = _OSThread(target=self._dispatch_loop, args=(w, task),
+        w._box = task  # not a thread arg: the thread would keep it for life
+        t = _OSThread(target=self._dispatch_loop, args=(w,),
                       name=f"threadcache-worker-{wid}", daemon=True)
         # registered and counted before start: a disabled-mode worker can
         # exit, and unregister itself, before start() returns
@@ -332,8 +344,10 @@ class ThreadCache:
         self._reset_hooks.append(fn)
 
     def current_worker(self) -> Optional[Worker]:
-        ctx = getattr(_current, "ctx", None)
-        return ctx[1] if ctx is not None and ctx[0] is self else None
+        """The worker of this runtime running a task on the calling thread."""
+        w = _current.worker
+        return w if w is not None and w.task is not None and w.rt is self \
+            else None
 
     def reap(self, now: Optional[int] = None) -> int:
         """Run one retention maintenance pass; returns the cull count."""
@@ -349,7 +363,8 @@ class ThreadCache:
 
         Closing the store drains it in one step; a worker that finishes its
         task afterwards finds its push refused and exits. With ``join`` it
-        waits, up to ``timeout`` in all, for every live worker to exit.
+        waits, up to ``timeout`` in all, for every live worker to exit but
+        the calling one, which exits once its task returns.
         """
         self._stop_event.set()
         for w in self._store.close():
@@ -358,8 +373,9 @@ class ThreadCache:
             deadline = time.monotonic() + timeout
             if self._reaper is not None:
                 self._reaper.join(max(0.0, deadline - time.monotonic()))
+            me = threading.get_ident()
             with self._count_lock:
-                threads = list(self._live.values())
+                threads = [t for t in self._live.values() if t.ident != me]
             for t in threads:
                 t.join(max(0.0, deadline - time.monotonic()))
 
@@ -369,17 +385,20 @@ class ThreadCache:
         w._box = _TERMINATE_ORDER
         w._park_lock.release()
 
-    def _dispatch_loop(self, worker: Worker, task: JoinHandle):
+    def _dispatch_loop(self, worker: Worker):
+        task = worker._box
+        worker._box = None
         park = worker._park_lock
         store = self._store
         enabled = self._enabled
         fast = self._fast_admit
         running, idle = WorkerState.RUNNING, WorkerState.IDLE  # enum lookups
         worker.ident = threading.get_ident()
+        _current.worker = worker
         while True:
             worker.state = running
             task.worker_id = worker.worker_id
-            _current.ctx = (self, worker, task)
+            worker.task = task
             if self._reset_hooks:
                 for hook in self._reset_hooks:
                     try:
@@ -388,16 +407,18 @@ class ThreadCache:
                         log.exception("reset hook failed")
             try:
                 arg = task._arg
-                status = task._entry() if arg is _NO_ARG else task._entry(arg)
+                task._value = task._entry() if arg is _NO_ARG \
+                    else task._entry(arg)
             except _LogicalExit as exc:
-                status = exc.status
+                task._value = exc.status
             except SystemExit as exc:
-                status = exc.code
+                task._value = exc.code
             except BaseException as exc:
-                status = _Poisoned(exc)
-            _current.ctx = None
-            task._fire(status)  # latch fires strictly before publication
-            task = None
+                task._value = _Poisoned(exc)
+            worker.task = None
+            task._fired = True  # the latch fires strictly before publication
+            task._latch.release()
+            task = arg = None  # an idle worker holds no task, value or arg
             if not enabled:
                 break
             if not fast:

@@ -74,12 +74,13 @@ def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
 class CachedThread(_real.thread_cls):
     """threading.Thread lookalike whose start() runs on a recycled worker."""
 
+    _cache_handle = None  # the runtime handle once started on a worker
+
     def start(self):
         rt = _runtime
         if not self._initialized:
             raise RuntimeError("thread.__init__() not called")
-        if getattr(self, "_cache_handle", None) is not None \
-                or self._started.is_set():
+        if self._cache_handle is not None or self._started.is_set():
             raise RuntimeError("threads can only be started once")
         if not _cache_eligible(rt):
             return _real.thread_cls.start(self)
@@ -103,7 +104,7 @@ class CachedThread(_real.thread_cls):
                 pass
 
     def join(self, timeout=None):
-        handle = getattr(self, "_cache_handle", None)
+        handle = self._cache_handle
         if handle is None:
             return _real.thread_cls.join(self, timeout)
         if current_task() is handle:
@@ -111,7 +112,7 @@ class CachedThread(_real.thread_cls):
         handle.wait(timeout)
 
     def is_alive(self):
-        handle = getattr(self, "_cache_handle", None)
+        handle = self._cache_handle
         if handle is None:
             return _real.thread_cls.is_alive(self)
         return not handle.finished

@@ -1,9 +1,11 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
+import gc
 import random
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 import threadcache
 from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
                          TaskPoisoned, ThreadCache, UsageError, WorkerState,
-                         logical_exit)
+                         current_task, logical_exit)
+from threadcache.runtime import _LogicalExit
 
 from conftest import net_new_objects, wait_until
 
@@ -110,6 +113,20 @@ class TestSpawnJoin:
         slot["h"] = rt.spawn(selfjoin)
         ready.set()
         assert slot["h"].join() == "deadlock"
+
+    def test_negative_wait_timeout_polls(self, runtime):
+        # as threading.Thread.join: a negative timeout does not block
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        h = rt.spawn(go.wait, 5.0)
+        t0 = time.monotonic()
+        assert h.wait(-0.5) is False
+        assert h.wait(-1) is False
+        assert time.monotonic() - t0 < 1.0
+        go.set()
+        assert h.wait(5.0)
+        assert h.wait(-0.5) is True
+        assert h.join() is True
 
 
 class TestDetach:
@@ -224,6 +241,61 @@ class TestLogicalExit:
         assert not t.is_alive()
         assert outcome == [3, "terminating"]
         assert rt.stats() == before
+
+
+def probe_context(rt):
+    """current_task(), rt.current_worker() and logical_exit's outcome."""
+    try:
+        logical_exit("probe")
+    except SystemExit as exc:
+        exit_ = ("thread exit", exc.code)
+    except _LogicalExit as exc:
+        exit_ = ("logical exit", exc.status)
+    return current_task(), rt.current_worker(), exit_
+
+
+class TestTaskContext:
+    def test_main_and_plain_threads_have_no_context(self, runtime):
+        rt = runtime(enabled=True)
+        rt.spawn(lambda: None).join()  # a worker has set its own context
+        out = [probe_context(rt)]
+        t = threading.Thread(target=lambda: out.append(probe_context(rt)))
+        t.start()
+        t.join(5.0)
+        assert not t.is_alive()
+        assert out == [(None, None, ("thread exit", "probe"))] * 2
+
+    def test_task_sees_its_handle_and_worker(self, runtime):
+        rt = runtime(enabled=True)
+        for _ in range(3):  # a cold worker, then the same worker recycled
+            h = rt.spawn(probe_context, rt)
+            task, worker, exit_ = h.join()
+            assert task is h
+            assert (worker.worker_id, worker.ident) == (h.worker_id,
+                                                         h.worker_ident)
+            assert exit_ == ("logical exit", "probe")
+            assert wait_until(lambda: rt.stats().current_idle == 1)
+        assert rt.stats().physical_creates == 1
+
+    def test_reset_hook_sees_the_task_about_to_run(self, runtime):
+        rt = runtime(enabled=True)
+        seen = []
+        rt.add_reset_hook(lambda w: seen.append((w, *probe_context(rt))))
+        h = rt.spawn(lambda: None)
+        h.join()
+        (w, task, worker, exit_), = seen
+        assert task is h
+        assert worker is w
+        assert exit_ == ("logical exit", "probe")
+
+    def test_worker_of_another_runtime(self, runtime):
+        rt_a, rt_b = runtime(enabled=True), runtime(enabled=True)
+        h = rt_a.spawn(lambda: (probe_context(rt_b), rt_a.current_worker()))
+        (task, worker_b, exit_), worker_a = h.join()
+        assert task is h
+        assert worker_b is None
+        assert worker_a.worker_id == h.worker_id
+        assert exit_ == ("logical exit", "probe")
 
 
 class TestFailureModes:
@@ -425,8 +497,40 @@ class TestShutdown:
         assert rt._live == {}
         assert rt.stats().physical_culls == rt.stats().physical_creates
 
+    def test_shutdown_from_inside_a_task(self, runtime):
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        others = [rt.spawn(go.wait, 5.0) for _ in range(4)]
+
+        def stop():
+            go.set()
+            rt.shutdown(join=True, timeout=10.0)
+            return list(rt._live)  # every other worker has exited
+
+        h = rt.spawn(stop)
+        assert h.join() == [h.worker_id]
+        assert all(o.wait(5.0) for o in others)
+        assert wait_until(lambda: rt._live == {})
+        assert rt.stats().physical_culls == rt.stats().physical_creates
+
 
 class TestNoRetention:
+    def test_idle_worker_keeps_no_task_value_or_arg(self, runtime):
+        class Box:
+            pass
+
+        rt = runtime(enabled=True)
+        for _ in range(2):  # a cold worker, then the same worker recycled
+            arg = Box()
+            h = rt.spawn(lambda a: Box(), arg)
+            value = h.join()
+            refs = weakref.ref(value), weakref.ref(arg)
+            del h, value, arg
+            assert wait_until(lambda: rt.stats().current_idle == 1)
+            gc.collect()
+            assert [r() for r in refs] == [None, None]
+        assert rt.stats().physical_creates == 1
+
     def test_uncached_spawns_leave_nothing_behind(self, runtime):
         rt = runtime(enabled=False)
 

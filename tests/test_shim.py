@@ -104,6 +104,18 @@ def corpus_join_timeout_then_completion():
     return ("timeout", alive_mid, t.is_alive())
 
 
+def corpus_negative_join_timeout_polls():
+    gate = threading.Event()
+    t = threading.Thread(target=gate.wait, args=(5.0,))
+    t.start()
+    t.join(-0.5)
+    t.join(-1)
+    alive_mid = t.is_alive()
+    gate.set()
+    t.join()
+    return ("negative-timeout", alive_mid, t.is_alive())
+
+
 def corpus_double_join_is_idempotent():
     t = threading.Thread(target=lambda: None)
     t.start()
@@ -210,6 +222,7 @@ CORPUS = [
     corpus_many_threads,
     corpus_exception_reaches_excepthook,
     corpus_join_timeout_then_completion,
+    corpus_negative_join_timeout_polls,
     corpus_double_join_is_idempotent,
     corpus_join_before_start_errors,
     corpus_start_twice_errors,
@@ -318,7 +331,7 @@ class TestShimCaching:
         _thread.start_new_thread(done.set, ())
         assert done.wait(2.0)
         assert out == [1]
-        assert not hasattr(t, "_cache_handle")
+        assert t._cache_handle is None
         assert shimmed.stats().spawns_total == 0
 
     def test_never_joined_threads_leave_nothing_behind(self, shimmed):
