@@ -7,18 +7,16 @@ physical threads. Includes pluggable retention policies, a drop-in
 """
 
 from .idle_store import IdleStore
-from .retention import (AdmitDecision, Policy, RetentionConfig, Verdict,
-                        admit, reap)
+from .retention import Policy, RetentionConfig, admit, reap
 from .runtime import (CacheStats, DeadlockError, JoinHandle, SpawnError,
                       TaskPoisoned, ThreadCache, UsageError, Worker,
-                      WorkerState, current_task, default_runtime,
-                      logical_exit)
+                      current_task, default_runtime, logical_exit)
 
 __all__ = [
-    "AdmitDecision", "CacheStats", "DeadlockError", "IdleStore",
-    "JoinHandle", "Policy", "RetentionConfig", "SpawnError", "TaskPoisoned",
-    "ThreadCache", "UsageError", "Verdict", "Worker", "WorkerState",
-    "admit", "current_task", "default_runtime", "logical_exit", "reap",
+    "CacheStats", "DeadlockError", "IdleStore", "JoinHandle", "Policy",
+    "RetentionConfig", "SpawnError", "TaskPoisoned", "ThreadCache",
+    "UsageError", "Worker", "admit", "current_task", "default_runtime",
+    "logical_exit", "reap",
 ]
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """LIFO store of idle workers: one lock over a list kept oldest-first.
 
-push stamps ``idle_since`` (monotonic ns) under the lock and appends, pop
-takes the newest from the end, and the culls slice from the front. The
-lock also guards a running sum of the stamps (an O(1) idle integral), the
-exact peak depth and the count of successful pops (the runtime's cache
-hits). ``close`` drains the store and refuses every later push.
+push applies the retention clamp, stamps ``idle_since`` (monotonic ns) and
+appends, all under the lock; pop takes the newest from the end, and the
+culls slice from the front. The lock also guards a running sum of the
+stamps (an O(1) idle integral), the exact peak depth and the count of
+successful pops (the runtime's cache hits). ``close`` drains the store and
+refuses every later push.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -12,15 +13,24 @@ GIL an emulated CAS is itself a lock, and shards only add work.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence
+
+from . import retention as _retention
+from .retention import Policy, RetentionConfig
 
 
 class IdleStore:
     """Idle workers, oldest first; every operation takes the one lock."""
 
-    def __init__(self):
+    def __init__(self, retention: Optional[RetentionConfig] = None):
+        cfg = retention if retention is not None else RetentionConfig()
+        self._retention = cfg
+        # the depth at which a push must ask the policy; only CLAMP has one
+        self._clamp = cfg.clamp_size if cfg.policy is Policy.CLAMP \
+            else sys.maxsize
         self._lock = threading.Lock()
         self._items: List = []
         self._stamp_sum = 0
@@ -30,22 +40,30 @@ class IdleStore:
 
     # push and pop run on every cache hit, so they call acquire/release
     # directly: about half the cost of a ``with`` block on CPython 3.11
-    def push(self, worker, now: Optional[int] = None) -> bool:
-        """Stamp and publish worker; False (and not stored) once closed."""
+    def push(self, worker, now: Optional[int] = None) -> Optional[Sequence]:
+        """Stamp and publish worker; returns the workers evicted to make room
+        for it, oldest first, or None when it is refused (and not stored):
+        the store is closed, or the retention clamp refuses it."""
         lock = self._lock
         lock.acquire()
         try:
             if self._closed:
-                return False
+                return None
+            items = self._items
+            evicted = ()  # one shared constant: no allocation
+            if len(items) >= self._clamp:
+                k = _retention.admit(len(items), self._retention)
+                if k is None:
+                    return None
+                evicted = self._take_front(k)
             if now is None:
                 now = time.monotonic_ns()
             worker.idle_since = now
-            items = self._items
             items.append(worker)
             self._stamp_sum += now
             if len(items) > self._peak:
                 self._peak = len(items)
-            return True
+            return evicted
         finally:
             lock.release()
 
@@ -99,12 +117,6 @@ class IdleStore:
             now = time.monotonic_ns()
         with self._lock:
             return (len(self._items) * now - self._stamp_sum) / 1e9
-
-    def traverse_locked(self, fn: Callable):
-        """Run fn(worker) for each stored worker, newest first, under the lock."""
-        with self._lock:
-            for w in reversed(self._items):
-                fn(w)
 
     def snapshot(self) -> List:
         """Stored workers newest-first, from one consistent pass."""

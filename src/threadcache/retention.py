@@ -6,6 +6,8 @@ Four policies decide which idle workers are kept:
 * ``CLAMP``      — cap the idle depth at ``clamp_size``; by default the
   incoming (warmest) worker is admitted and the coldest is evicted, an
   alternative refused-admission mode is available via ``keep_incoming``.
+  The store applies the clamp inside its locked push, so it is exact under
+  concurrent exits.
 * ``AGE_OUT``    — admit everything; a periodic reap culls workers idle
   longer than ``max_idle_age`` seconds.
 * ``INTEGRAL_BUDGET`` — admit everything; reap culls oldest-first until the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
 _NS = 1_000_000_000
@@ -31,11 +33,6 @@ class Policy(enum.Enum):
     CLAMP = "clamp"
     AGE_OUT = "age"
     INTEGRAL_BUDGET = "integral"
-
-
-class Verdict(enum.Enum):
-    CACHE = "cache"
-    TERMINATE = "terminate"
 
 
 @dataclass
@@ -84,40 +81,23 @@ class RetentionConfig:
         return cls(**kw)
 
 
-@dataclass
-class AdmitDecision:
-    verdict: Verdict
-    evictions: List = field(default_factory=list)
+def admit(depth: int, cfg: RetentionConfig) -> Optional[int]:
+    """How many of the oldest idle workers to evict so that one more worker
+    joins a store holding ``depth``; None refuses it.
 
-    def __post_init__(self):
-        if self.evictions and self.verdict is not Verdict.CACHE:
-            raise ValueError("evictions only accompany a CACHE verdict")
-
-
-_CACHE = AdmitDecision(Verdict.CACHE)
-_TERMINATE = AdmitDecision(Verdict.TERMINATE)
-
-
-def admit(worker, store, now: int, cfg: RetentionConfig) -> AdmitDecision:
-    """Per-exit decision for a worker that just finished a task.
-
-    AGE_OUT and INTEGRAL_BUDGET always admit here; their culling happens in
-    reap. CLAMP evicts the oldest cached worker(s) to make room for the
-    incoming one (it carries the most residual cache/scheduling affinity),
-    unless keep_incoming is off, in which case a full cache refuses it.
+    Only CLAMP evicts or refuses; AGE_OUT and INTEGRAL_BUDGET cull in reap.
+    CLAMP evicts to make room for the incoming worker (it carries the most
+    residual cache/scheduling affinity), unless keep_incoming is off or
+    clamp_size is 0, in which case a full store refuses it.
     """
-    pol = cfg.policy
-    if pol is Policy.CLAMP:
-        clamp = cfg.clamp_size
-        if clamp == 0:
-            return _TERMINATE
-        overflow = store.count + 1 - clamp
-        if overflow <= 0:
-            return _CACHE
-        if not cfg.keep_incoming:
-            return _TERMINATE
-        return AdmitDecision(Verdict.CACHE, store.cull_oldest(overflow))
-    return _CACHE
+    if cfg.policy is not Policy.CLAMP:
+        return 0
+    overflow = depth + 1 - cfg.clamp_size
+    if overflow <= 0:
+        return 0
+    if cfg.clamp_size == 0 or not cfg.keep_incoming:
+        return None
+    return overflow
 
 
 def reap(store, now: int, cfg: RetentionConfig) -> List:

@@ -28,7 +28,6 @@ physical create and every exit a physical exit.
 from __future__ import annotations
 
 import _thread
-import enum
 import itertools
 import logging
 import os
@@ -40,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from . import retention as _retention
 from .idle_store import IdleStore
-from .retention import Policy, RetentionConfig
+from .retention import RetentionConfig
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +57,6 @@ class _TaskContext(threading.local):
 
 
 _current = _TaskContext()
-
-
-class WorkerState(enum.Enum):
-    NASCENT = "nascent"
-    RUNNING = "running"
-    IDLE = "idle"
-    TERMINATING = "terminating"
 
 
 # join_state values (plain ints: compared on the join fast path)
@@ -214,15 +206,14 @@ class JoinHandle:
 
 
 class Worker:
-    """One physical thread: identity, state, park channel and the runtime and
-    task it serves (``task`` is None outside a dispatch)."""
+    """One physical thread: identity, park channel and the runtime and task
+    it serves (``task`` is None outside a dispatch)."""
 
-    __slots__ = ("worker_id", "state", "idle_since", "ident", "rt", "task",
+    __slots__ = ("worker_id", "idle_since", "ident", "rt", "task",
                  "_park_lock", "_box")
 
     def __init__(self, worker_id: int, rt: "ThreadCache"):
         self.worker_id = worker_id
-        self.state = WorkerState.NASCENT
         self.idle_since = 0
         self.ident = None
         self.rt = rt
@@ -247,8 +238,7 @@ class ThreadCache:
         self._enabled = bool(enabled)
         self._retention = retention if retention is not None \
             else RetentionConfig.from_env()
-        self._store = IdleStore()
-        self._fast_admit = self._retention.policy is Policy.UNBOUNDED
+        self._store = IdleStore(self._retention)
         # cold-path counters; cache hits are counted by the store's pops
         self._count_lock = threading.Lock()
         self._creates = 0
@@ -337,9 +327,11 @@ class ThreadCache:
     def add_reset_hook(self, fn: Callable):
         """Register a best-effort per-dispatch initializer.
 
-        Runs on the worker before each task. Thread-local state is NOT
-        otherwise reset between logical threads; entries must not rely on
-        virgin thread-local values.
+        Runs on the worker before each task. A hook's Exception is logged
+        and the task still runs; any other BaseException (``logical_exit``,
+        ``SystemExit``) ends the task before its entry runs and is its
+        outcome. Thread-local state is NOT otherwise reset between logical
+        threads; entries must not rely on virgin thread-local values.
         """
         self._reset_hooks.append(fn)
 
@@ -375,9 +367,17 @@ class ThreadCache:
                 self._reaper.join(max(0.0, deadline - time.monotonic()))
             me = threading.get_ident()
             with self._count_lock:
-                threads = [t for t in self._live.values() if t.ident != me]
-            for t in threads:
-                t.join(max(0.0, deadline - time.monotonic()))
+                threads = [(wid, t) for wid, t in self._live.items()
+                           if t.ident != me]
+            for wid, t in threads:
+                # spawn registers a thread before it starts it: wait for the
+                # start, unless it fails and spawn takes the thread back
+                started = t._started
+                while not started.wait(0.01) and wid in self._live \
+                        and time.monotonic() < deadline:
+                    pass
+                if started.is_set():
+                    t.join(max(0.0, deadline - time.monotonic()))
 
     # -- internals --------------------------------------------------------
 
@@ -391,21 +391,18 @@ class ThreadCache:
         park = worker._park_lock
         store = self._store
         enabled = self._enabled
-        fast = self._fast_admit
-        running, idle = WorkerState.RUNNING, WorkerState.IDLE  # enum lookups
         worker.ident = threading.get_ident()
         _current.worker = worker
         while True:
-            worker.state = running
             task.worker_id = worker.worker_id
             worker.task = task
-            if self._reset_hooks:
+            try:
+                # a hook's BaseException is the task's outcome, as the entry's
                 for hook in self._reset_hooks:
                     try:
                         hook(worker)
                     except Exception:
                         log.exception("reset hook failed")
-            try:
                 arg = task._arg
                 task._value = task._entry() if arg is _NO_ARG \
                     else task._entry(arg)
@@ -421,28 +418,18 @@ class ThreadCache:
             task = arg = None  # an idle worker holds no task, value or arg
             if not enabled:
                 break
-            if not fast:
-                decision = _retention.admit(worker, store,
-                                            time.monotonic_ns(),
-                                            self._retention)
-                if decision.verdict is _retention.Verdict.TERMINATE:
-                    break
-                worker.state = idle
-                parked = store.push(worker)
-                for ev in decision.evictions:
-                    self._terminate_worker(ev)
-                if not parked:  # store closed by shutdown
-                    break
-            else:
-                worker.state = idle
-                if not store.push(worker):  # store closed by shutdown
-                    break
+            evicted = store.push(worker)
+            if evicted is None:  # refused: closed by shutdown, or clamped
+                break
+            if evicted:  # the clamp made room: the oldest idle workers exit
+                for w in evicted:
+                    self._terminate_worker(w)
+                evicted = w = None  # a parked worker holds no other worker
             park.acquire()  # until next task or terminate order; re-arms
             task = worker._box
             worker._box = None
             if task is _TERMINATE_ORDER:
                 break
-        worker.state = WorkerState.TERMINATING
         with self._count_lock:
             self._culls += 1
             del self._live[worker.worker_id]

@@ -3,7 +3,7 @@
 ``install()`` replaces ``threading.Thread`` and ``_thread.start_new_thread``
 with versions that route thread creation through a ThreadCache runtime, so
 unmodified code gains the idle-thread cache. The original entry points are
-resolved exactly once and everything falls back to them whenever a request
+read once, at import, and everything falls back to them whenever a request
 is not cache-eligible:
 
 * a nonzero ``threading.stack_size()`` is in effect (custom stack sizes are
@@ -43,27 +43,12 @@ __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
 
 
-class _RealSymbols:
-    """Original platform entry points, resolved once at first install."""
-    thread_cls = None
-    start_new_thread = None
-    resolved = False
-
-
-_real = _RealSymbols()
+# the original entry points, read at import, before any patching can occur
+_REAL_THREAD = threading.Thread
+_REAL_START_NEW_THREAD = _thread.start_new_thread
 _install_lock = threading.Lock()
 _installed = False
 _runtime: Optional[ThreadCache] = None
-
-
-def _resolve_once():
-    if not _real.resolved:
-        _real.thread_cls = threading.Thread
-        _real.start_new_thread = _thread.start_new_thread
-        _real.resolved = True
-
-
-_resolve_once()  # imported before any patching can occur
 
 
 def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
@@ -71,7 +56,7 @@ def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
             and threading.stack_size() == 0)
 
 
-class CachedThread(_real.thread_cls):
+class CachedThread(_REAL_THREAD):
     """threading.Thread lookalike whose start() runs on a recycled worker."""
 
     _cache_handle = None  # the runtime handle once started on a worker
@@ -83,7 +68,7 @@ class CachedThread(_real.thread_cls):
         if self._cache_handle is not None or self._started.is_set():
             raise RuntimeError("threads can only be started once")
         if not _cache_eligible(rt):
-            return _real.thread_cls.start(self)
+            return _REAL_THREAD.start(self)
         handle = rt.spawn(self._cache_body)
         self._cache_handle = handle
         self._ident = handle.worker_ident
@@ -106,7 +91,7 @@ class CachedThread(_real.thread_cls):
     def join(self, timeout=None):
         handle = self._cache_handle
         if handle is None:
-            return _real.thread_cls.join(self, timeout)
+            return _REAL_THREAD.join(self, timeout)
         if current_task() is handle:
             raise RuntimeError("cannot join current thread")
         handle.wait(timeout)
@@ -114,7 +99,7 @@ class CachedThread(_real.thread_cls):
     def is_alive(self):
         handle = self._cache_handle
         if handle is None:
-            return _real.thread_cls.is_alive(self)
+            return _REAL_THREAD.is_alive(self)
         return not handle.finished
 
 
@@ -127,7 +112,7 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
     if kwargs is None:
         kwargs = {}
     if not _cache_eligible(rt):
-        return _real.start_new_thread(function, args, kwargs)
+        return _REAL_START_NEW_THREAD(function, args, kwargs)
 
     def body():
         try:
@@ -148,7 +133,6 @@ def install(runtime: Optional[ThreadCache] = None):
     """Activate the interposition; idempotent, reentrancy-safe."""
     global _installed, _runtime
     with _install_lock:
-        _resolve_once()
         _runtime = runtime if runtime is not None else default_runtime()
         if not _installed:
             threading.Thread = CachedThread
@@ -161,8 +145,8 @@ def uninstall():
     global _installed, _runtime
     with _install_lock:
         if _installed:
-            threading.Thread = _real.thread_cls
-            _thread.start_new_thread = _real.start_new_thread
+            threading.Thread = _REAL_THREAD
+            _thread.start_new_thread = _REAL_START_NEW_THREAD
             _installed = False
         _runtime = None
 

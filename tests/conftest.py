@@ -7,12 +7,11 @@ import pytest
 class FakeWorker:
     """Minimal stand-in with the attributes the store and policies touch."""
 
-    __slots__ = ("worker_id", "idle_since", "state", "_park_lock", "_box")
+    __slots__ = ("worker_id", "idle_since", "_park_lock", "_box")
 
     def __init__(self, worker_id):
         self.worker_id = worker_id
         self.idle_since = 0
-        self.state = None
 
     def __repr__(self):
         return f"FakeWorker({self.worker_id})"
@@ -31,6 +30,14 @@ def wait_until(pred, timeout=2.0, interval=0.0005):
             return True
         time.sleep(interval)
     return pred()
+
+
+def quiescent(rt):
+    """Every worker the runtime made is idle or has exited, and counted so:
+    creates - culls == live workers == idle workers."""
+    s = rt.stats()
+    return (s.physical_creates - s.physical_culls == len(rt._live)
+            == s.current_idle)
 
 
 def net_new_objects(op, n, settle):

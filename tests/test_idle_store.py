@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadcache.idle_store import IdleStore
+from threadcache.retention import Policy, RetentionConfig
 
 from conftest import FakeWorker
 from oracles import ReferenceStack
@@ -197,28 +198,6 @@ class TestRaces:
         # scaled-down here; the full 8x8/1e6 run lives in the acceptance suite
         run_stress(n_ops=40_000, pushers=4, poppers=4)
 
-    def test_traversal_sees_frozen_list_while_pusher_waits(self, fake_workers):
-        # one lock: a push that arrives during a traversal lands after it
-        s = make_store()
-        a, b = fake_workers(2)
-        s.push(a)
-        inside = threading.Event()
-        seen = []
-
-        def visit(w):
-            seen.append(w)
-            inside.set()
-            time.sleep(0.05)  # the pusher runs meanwhile and must wait
-
-        t = threading.Thread(target=s.traverse_locked, args=(visit,))
-        t.start()
-        assert inside.wait(2.0)
-        s.push(b)
-        t.join(2.0)
-        assert not t.is_alive()
-        assert seen == [a]
-        assert s.snapshot() == [b, a]
-
     def test_reinserted_worker_never_loses_neighbours(self, fake_workers):
         # the A-B-A shape: a worker popped and pushed again on top of a
         # newcomer; every worker stays reachable and LIFO order holds
@@ -291,10 +270,10 @@ class TestClose:
         a, b, c = fake_workers(3)
         s = make_store()
         for i, w in enumerate((a, b)):
-            assert s.push(w, now=i) is True
+            assert s.push(w, now=i) == ()
         assert s.close() == [a, b]
         assert s.count == 0 and s.integral(now=5) == 0
-        assert s.push(c) is False
+        assert s.push(c) is None
         assert s.count == 0 and s.pop() is None
         assert s.close() == []
 
@@ -308,7 +287,7 @@ class TestClose:
 
             def push(i):
                 go.wait()
-                accepted[i] = s.push(ws[i])
+                accepted[i] = s.push(ws[i]) is not None
 
             ts = [threading.Thread(target=push, args=(i,))
                   for i in range(len(ws))]
@@ -322,6 +301,43 @@ class TestClose:
             assert s.count == 0
             assert sorted(w.worker_id for w in drained) == \
                 [i for i, ok in enumerate(accepted) if ok]
+
+
+class TestClamp:
+    @pytest.mark.parametrize("keep_incoming", [True, False])
+    def test_concurrent_pushes_never_exceed_clamp(self, keep_incoming):
+        # the clamp check and the append are one step under the lock
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2,
+                              keep_incoming=keep_incoming)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                s = make_store(retention=cfg)
+                ws = [FakeWorker(i) for i in range(16)]
+                out = [None] * len(ws)
+                go = threading.Barrier(len(ws))
+
+                def push(i):
+                    go.wait()
+                    out[i] = s.push(ws[i])
+
+                ts = [threading.Thread(target=push, args=(i,))
+                      for i in range(len(ws))]
+                for t in ts:
+                    t.start()
+                for t in ts:
+                    t.join(2.0)
+                assert not any(t.is_alive() for t in ts)
+                assert s.peak == s.count == 2
+                # every worker is stored, evicted once, or refused
+                evicted = [w for e in out if e for w in e]
+                refused = [w for w, e in zip(ws, out) if e is None]
+                assert Counter(map(id, s.snapshot() + evicted + refused)) \
+                    == Counter(map(id, ws))
+                assert len(refused if not keep_incoming else evicted) == 14
+        finally:
+            sys.setswitchinterval(old)
 
 
 def run_stress(n_ops, pushers, poppers):

@@ -1,4 +1,4 @@
-"""Retention policies: admit, reap, env config."""
+"""Retention policies: admit (applied by the store's push), reap, env config."""
 
 import random
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadcache.idle_store import IdleStore
-from threadcache.retention import (AdmitDecision, Policy, RetentionConfig,
-                                   Verdict, admit, reap)
+from threadcache.retention import Policy, RetentionConfig, admit, reap
 
 from conftest import FakeWorker
 from oracles import PolicySimulator, SimEvent
@@ -16,9 +15,9 @@ from oracles import PolicySimulator, SimEvent
 NS = 1_000_000_000
 
 
-def store_with_ages(now, ages_s):
+def store_with_ages(now, ages_s, cfg=None):
     """Store whose workers have the given idle ages (oldest pushed first)."""
-    s = IdleStore()
+    s = IdleStore(cfg)
     ws = []
     for i, age in enumerate(sorted(ages_s, reverse=True)):
         w = FakeWorker(i)
@@ -68,51 +67,56 @@ class TestConfig:
         with pytest.raises(ValueError):
             RetentionConfig.from_env({"THREADCACHE_POLICY": "bogus"})
 
-    def test_decision_invariant(self):
-        with pytest.raises(ValueError):
-            AdmitDecision(Verdict.TERMINATE, evictions=[object()])
-
 
 class TestAdmit:
+    """admit() is the pure rule; push applies it under the store's lock."""
+
     def test_unbounded_always_caches(self):
-        s = IdleStore()
-        d = admit(FakeWorker(0), s, now=0, cfg=RetentionConfig())
-        assert d.verdict is Verdict.CACHE and d.evictions == []
+        assert admit(1000, RetentionConfig()) == 0
+        s, _ = store_with_ages(5 * NS, [3, 2, 1])
+        assert s.push(FakeWorker(9), now=5 * NS) == ()
+        assert s.count == 4
 
     def test_clamp_evicts_oldest_for_incoming(self):
         now = 100 * NS
-        s, ws = store_with_ages(now, [9, 1])
         cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2)
-        d = admit(FakeWorker(99), s, now, cfg)
-        assert d.verdict is Verdict.CACHE
-        assert d.evictions == [ws[0]]  # the 9s-old one
-        assert s.count == 1
+        assert admit(2, cfg) == 1
+        s, ws = store_with_ages(now, [9, 1], cfg)
+        w = FakeWorker(99)
+        assert s.push(w, now) == [ws[0]]  # the 9s-old one
+        assert s.snapshot() == [w, ws[1]]
+        assert s.integral(now) == pytest.approx(1.0)
 
     def test_clamp_zero_terminates(self):
         cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=0)
-        d = admit(FakeWorker(0), IdleStore(), now=0, cfg=cfg)
-        assert d.verdict is Verdict.TERMINATE
+        assert admit(0, cfg) is None
+        s = IdleStore(cfg)
+        assert s.push(FakeWorker(0), now=0) is None
+        assert (s.count, s.peak) == (0, 0)
 
     def test_clamp_under_limit_no_eviction(self):
-        s, _ = store_with_ages(5 * NS, [1])
         cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2)
-        d = admit(FakeWorker(9), s, 5 * NS, cfg)
-        assert d.verdict is Verdict.CACHE and d.evictions == []
+        assert admit(1, cfg) == 0
+        s, _ = store_with_ages(5 * NS, [1], cfg)
+        assert s.push(FakeWorker(9), 5 * NS) == ()
+        assert s.count == 2
 
     def test_clamp_refused_admission_variant(self):
-        s, ws = store_with_ages(5 * NS, [1, 2])
         cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2,
                               keep_incoming=False)
-        d = admit(FakeWorker(9), s, 5 * NS, cfg)
-        assert d.verdict is Verdict.TERMINATE
-        assert s.count == 2  # cached pair untouched
+        assert admit(2, cfg) is None
+        s, ws = store_with_ages(5 * NS, [1, 2], cfg)
+        assert s.push(FakeWorker(9), 5 * NS) is None
+        assert s.snapshot() == ws[::-1]  # cached pair untouched
 
     @pytest.mark.parametrize("policy", [Policy.AGE_OUT,
                                         Policy.INTEGRAL_BUDGET])
     def test_deferred_policies_admit(self, policy):
-        cfg = RetentionConfig(policy=policy)
-        d = admit(FakeWorker(0), IdleStore(), now=0, cfg=cfg)
-        assert d.verdict is Verdict.CACHE
+        cfg = RetentionConfig(policy=policy, clamp_size=0)
+        assert admit(1000, cfg) == 0
+        s = IdleStore(cfg)
+        assert s.push(FakeWorker(0), now=0) == ()
+        assert s.count == 1
 
 
 class TestReap:
@@ -156,8 +160,8 @@ class TestReap:
 # policy engine vs brute-force scalar simulator
 
 def run_script_pair(cfg, events):
-    """Drive IdleStore+admit/reap and the simulator on one event script."""
-    store = IdleStore()
+    """Drive IdleStore push/pop/reap and the simulator on one event script."""
+    store = IdleStore(cfg)
     by_tag = {}
     next_tag = [0]
     sim = PolicySimulator(cfg)
@@ -167,15 +171,15 @@ def run_script_pair(cfg, events):
             tag = next_tag[0]
             next_tag[0] += 1
             w = FakeWorker(tag)
-            d = admit(w, store, ev.t, cfg)
-            if d.verdict is Verdict.CACHE:
+            evicted = store.push(w, now=ev.t)
+            if evicted is not None:
                 assert out.admitted == tag
-                store.push(w, now=ev.t)
                 by_tag[tag] = w
             else:
                 assert out.admitted is None
-            assert [e.worker_id for e in d.evictions] == out.evicted
-            for e in d.evictions:
+                evicted = []
+            assert [e.worker_id for e in evicted] == out.evicted
+            for e in evicted:
                 by_tag.pop(e.worker_id)
         elif ev.kind == "spawn":
             w = store.pop()

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import threadcache
 from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
-                         TaskPoisoned, ThreadCache, UsageError, WorkerState,
-                         current_task, logical_exit)
+                         TaskPoisoned, ThreadCache, UsageError, current_task,
+                         logical_exit)
 from threadcache.runtime import _LogicalExit
 
-from conftest import net_new_objects, wait_until
+from conftest import net_new_objects, quiescent, wait_until
 
 
 class TestSpawnJoin:
@@ -364,8 +364,7 @@ class TestRecyclingInvariants:
         assert len(victims) == 1
         rt._terminate_worker(victims[0])
         assert wait_until(lambda: rt.stats().physical_culls == 1)
-        assert wait_until(
-            lambda: victims[0].state is WorkerState.TERMINATING)
+        assert victims[0].worker_id not in rt._live
         h = rt.spawn(lambda: None)
         h.join()
         assert h.worker_id != victims[0].worker_id
@@ -401,6 +400,34 @@ class TestRecyclingInvariants:
         rt = runtime(enabled=True)
         rt.add_reset_hook(lambda w: 1 // 0)
         assert rt.spawn(lambda: 5).join() == 5
+
+    @pytest.mark.parametrize("exc, outcome", [
+        (_LogicalExit("hook"), "hook"),
+        (SystemExit("hook"), "hook"),
+        (KeyboardInterrupt(), TaskPoisoned),
+    ])
+    def test_reset_hook_base_exception_is_the_task_outcome(self, runtime,
+                                                           exc, outcome):
+        # the task does not run, its latch fires and the worker recycles
+        rt = runtime(enabled=True)
+
+        def hook(w):
+            raise exc
+
+        rt.add_reset_hook(hook)
+        ran = []
+        for _ in range(2):
+            h = rt.spawn(lambda: ran.append(1))
+            assert h.wait(5.0)
+            if outcome is TaskPoisoned:
+                with pytest.raises(TaskPoisoned):
+                    h.join()
+            else:
+                assert h.join() == outcome
+            assert wait_until(lambda: quiescent(rt))
+        assert ran == []
+        s = rt.stats()
+        assert (s.physical_creates, s.cache_hits, s.current_idle) == (1, 1, 1)
 
 
 class TestTinySwitchInterval:
@@ -496,6 +523,39 @@ class TestShutdown:
         assert not idents & {t.ident for t in threading.enumerate()}
         assert rt._live == {}
         assert rt.stats().physical_culls == rt.stats().physical_creates
+
+    def test_join_waits_for_a_worker_still_starting(self, runtime,
+                                                    monkeypatch):
+        # spawn registers a worker before its thread starts; a shutdown in
+        # that window must wait for the worker, not fail to join it
+        starting = threading.Event()
+
+        class SlowStart(threading.Thread):
+            def start(self):
+                starting.set()
+                time.sleep(0.2)
+                super().start()
+
+        monkeypatch.setattr("threadcache.runtime._OSThread", SlowStart)
+        rt = runtime(enabled=True)
+        errors = []
+
+        def stop():
+            assert starting.wait(5.0)
+            try:
+                rt.shutdown(join=True, timeout=10.0)
+            except BaseException as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=stop)
+        t.start()
+        h = rt.spawn(lambda: 7)
+        t.join(10.0)
+        assert not t.is_alive()
+        assert errors == []
+        assert rt._live == {}
+        assert h.join() == 7
+        assert rt.stats().physical_culls == rt.stats().physical_creates == 1
 
     def test_shutdown_from_inside_a_task(self, runtime):
         rt = runtime(enabled=True)
@@ -594,6 +654,30 @@ class TestRetentionIntegration:
                           timeout=3.0)
         assert rt.stats().current_idle == 0
 
+    @pytest.mark.parametrize("keep_incoming", [True, False])
+    def test_clamp_exact_under_concurrent_exits(self, keep_incoming):
+        # 16 tasks finish together; the clamp holds at every instant
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2,
+                              keep_incoming=keep_incoming)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                rt = ThreadCache(enabled=True, retention=cfg)
+                try:
+                    go = threading.Event()
+                    handles = [rt.spawn(go.wait, 5.0) for _ in range(16)]
+                    go.set()
+                    assert all(h.join() for h in handles)
+                    assert wait_until(lambda: quiescent(rt))
+                    s = rt.stats()
+                    assert s.peak_idle <= 2
+                    assert s.current_idle <= 2
+                finally:
+                    rt.shutdown(join=True)
+        finally:
+            sys.setswitchinterval(old)
+
 
 # ---------------------------------------------------------------------------
 # N-1 retention bound over randomized schedules (scaled; full in acceptance)
@@ -623,12 +707,12 @@ def run_idle_bound_schedule(rng, max_live=16, steps=40):
                 serial += 1
                 peak_live = max(peak_live, len(live) + 1)
             sample()
+            if not live:
+                assert wait_until(lambda: quiescent(rt))
         for gate, handle in live.values():
             gate.set()
             handle.join()
-        assert wait_until(
-            lambda: (lambda s: s.current_idle + s.physical_culls
-                     == s.physical_creates)(rt.stats()))
+        assert wait_until(lambda: quiescent(rt))
         sample()
         s = rt.stats()
         assert s.spawns_total == s.cache_hits + s.physical_creates
