@@ -21,6 +21,12 @@ worker owns one park lock for life: a successful acquire leaves it held,
 which re-arms it, and whoever removes a worker from the store releases it
 exactly once.
 
+Workers are raw ``_thread`` threads: starting one costs no ``Thread``
+object, ``Event`` or bootstrap. Each worker registers its own
+``_WorkerThread`` record in ``threading._active`` before any task runs, so
+``current_thread()``, ``enumerate()`` and ``active_count()`` see idle and
+running workers as they would ``threading.Thread``s, and removes it on exit.
+
 Set ``THREADCACHE=0`` to disable caching entirely: every spawn is then a
 physical create and every exit a physical exit.
 """
@@ -31,8 +37,10 @@ import _thread
 import itertools
 import logging
 import os
+import sys
 import threading
 import time
+from _thread import start_new_thread as _start_new_thread  # immune to the shim
 from dataclasses import dataclass
 from threading import Thread as _OSThread  # real class; immune to shim patching
 from typing import Any, Callable, Dict, List, Optional
@@ -205,12 +213,58 @@ class JoinHandle:
         return self._fired
 
 
+class _WorkerThread(_OSThread):
+    """What ``threading`` sees of a worker: a record in ``threading._active``.
+
+    Built without ``Thread.__init__``, as ``threading._DummyThread`` is but
+    cheaper: no Event and no tstate lock of its own. It shares one set
+    ``_started`` Event, so ``start()`` and setting ``daemon`` raise as on a
+    started thread, and ``join`` waits on the worker's exit lock. The worker
+    registers it before its first task and removes it as it exits.
+    """
+
+    _initialized = True
+    _daemonic = True
+    _is_stopped = False
+    _tstate_lock = None
+    _started = threading.Event()
+    _started.set()
+
+    def __init__(self, name: str, ident: int, exit_lock):
+        self._name = name
+        self._ident = ident
+        self._native_id = _thread.get_native_id()
+        self._exit_lock = exit_lock
+
+    def is_alive(self):
+        return not self._is_stopped
+
+    def join(self, timeout=None):
+        if self._ident == _thread.get_ident() and not self._is_stopped:
+            raise RuntimeError("cannot join current thread")
+        lk = self._exit_lock
+        if lk.acquire(True, -1 if timeout is None else max(timeout, 0)):
+            lk.release()  # let other joiners through
+
+    def _reset_internal_locks(self, is_alive):
+        # called by threading._after_fork in the child, which then stops the
+        # records of the workers that did not fork: their exit locks are
+        # copies held for ever, so free them for join and shutdown
+        if not is_alive:
+            self._exit_lock._at_fork_reinit()
+
+    def __repr__(self):
+        return "<%s(%s, %s daemon %s)>" % (
+            type(self).__name__, self._name,
+            "stopped" if self._is_stopped else "started", self._ident)
+
+
 class Worker:
-    """One physical thread: identity, park channel and the runtime and task
-    it serves (``task`` is None outside a dispatch)."""
+    """One physical thread: identity, park channel, exit latch and the
+    runtime and task it serves (``task`` is None outside a dispatch)."""
 
     __slots__ = ("worker_id", "idle_since", "ident", "rt", "task",
-                 "_park_lock", "_box")
+                 "_park_lock", "_exit_lock", "_box")
 
     def __init__(self, worker_id: int, rt: "ThreadCache"):
         self.worker_id = worker_id
@@ -221,6 +275,9 @@ class Worker:
         lk = _thread.allocate_lock()
         lk.acquire()
         self._park_lock = lk
+        lk = _thread.allocate_lock()
+        lk.acquire()
+        self._exit_lock = lk  # released once the worker has exited
         self._box = None
 
 
@@ -246,7 +303,7 @@ class ThreadCache:
         self._culls = 0
         self._worker_ids = itertools.count(1)
         self._reset_hooks: List[Callable] = []
-        self._live: Dict[int, _OSThread] = {}  # worker_id -> thread, live only
+        self._live: Dict[int, Worker] = {}  # live workers by worker_id
         self._stop_event = threading.Event()
         self._reaper = None
         if self._enabled and self._retention.needs_reaper:
@@ -290,25 +347,27 @@ class ThreadCache:
         w = Worker(next(self._worker_ids), self)
         wid = w.worker_id
         w._box = task  # not a thread arg: the thread would keep it for life
-        t = _OSThread(target=self._dispatch_loop, args=(w,),
-                      name=f"threadcache-worker-{wid}", daemon=True)
         # registered and counted before start: a disabled-mode worker can
-        # exit, and unregister itself, before start() returns
+        # exit, and unregister itself, before spawn returns
         with self._count_lock:
             if self._stop_event.is_set():
                 raise UsageError("spawn after shutdown")
-            self._live[wid] = t
+            self._live[wid] = w
             self._creates += 1
+        started = _thread.allocate_lock()
+        started.acquire()
         try:
-            t.start()
+            _start_new_thread(self._dispatch_loop, (w, started))
         except BaseException as exc:
             with self._count_lock:
                 del self._live[wid]
                 self._creates -= 1
                 self._failed += 1
+            w._exit_lock.release()  # a shutdown waiting for it goes on
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
-        w.ident = t.ident
-        task.worker_ident = t.ident
+        # until the worker is visible to threading, as Thread.start waits
+        started.acquire()
+        task.worker_ident = w.ident
         return task
 
     def stats(self) -> CacheStats:
@@ -367,17 +426,11 @@ class ThreadCache:
                 self._reaper.join(max(0.0, deadline - time.monotonic()))
             me = threading.get_ident()
             with self._count_lock:
-                threads = [(wid, t) for wid, t in self._live.items()
-                           if t.ident != me]
-            for wid, t in threads:
-                # spawn registers a thread before it starts it: wait for the
-                # start, unless it fails and spawn takes the thread back
-                started = t._started
-                while not started.wait(0.01) and wid in self._live \
-                        and time.monotonic() < deadline:
-                    pass
-                if started.is_set():
-                    t.join(max(0.0, deadline - time.monotonic()))
+                workers = [w for w in self._live.values() if w.ident != me]
+            for w in workers:  # some may not have started yet
+                lk = w._exit_lock
+                if lk.acquire(True, max(0.0, deadline - time.monotonic())):
+                    lk.release()  # let other shutdowns through
 
     # -- internals --------------------------------------------------------
 
@@ -385,13 +438,25 @@ class ThreadCache:
         w._box = _TERMINATE_ORDER
         w._park_lock.release()
 
-    def _dispatch_loop(self, worker: Worker):
+    def _dispatch_loop(self, worker: Worker, started):
+        # become visible to threading before any user code can call
+        # current_thread(), which would otherwise make a _DummyThread that
+        # is never removed; then install the hooks, as Thread does
+        ident = worker.ident = _thread.get_ident()
+        record = _WorkerThread(f"threadcache-worker-{worker.worker_id}", ident,
+                               worker._exit_lock)
+        with threading._active_limbo_lock:  # rebound by threading._after_fork
+            threading._active[ident] = record
+        if threading._trace_hook:
+            sys.settrace(threading._trace_hook)
+        if threading._profile_hook:
+            sys.setprofile(threading._profile_hook)
+        started.release()
         task = worker._box
         worker._box = None
         park = worker._park_lock
         store = self._store
         enabled = self._enabled
-        worker.ident = threading.get_ident()
         _current.worker = worker
         while True:
             task.worker_id = worker.worker_id
@@ -433,6 +498,10 @@ class ThreadCache:
         with self._count_lock:
             self._culls += 1
             del self._live[worker.worker_id]
+        with threading._active_limbo_lock:
+            del threading._active[ident]
+            record._is_stopped = True
+        worker._exit_lock.release()
 
     def _reaper_loop(self):
         cfg = self._retention

@@ -21,6 +21,10 @@ Thread exit needs no separate patch: a ``SystemExit`` raised inside a
 managed worker (what ``_thread.exit()`` raises) is absorbed by the dispatch
 loop as a logical exit, and terminates the thread for real everywhere else.
 
+While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
+in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
+logging's ``%(threadName)s`` see it as they would a real thread.
+
 Known, deliberate unsoundness, mirrored from the native runtime: worker
 threads are daemonic and thread-local storage is not reset when a physical
 thread recycles, so a logical thread can observe a predecessor's
@@ -75,7 +79,13 @@ class CachedThread(_REAL_THREAD):
         self._started.set()
 
     def _cache_body(self):
-        self._ident = threading.get_ident()
+        # while run() runs, threading sees this thread, not the worker:
+        # current_thread(), enumerate(), logging's threadName
+        ident = self._ident = _thread.get_ident()
+        self._native_id = _thread.get_native_id()
+        with threading._active_limbo_lock:  # rebound by threading._after_fork
+            worker = threading._active[ident]
+            threading._active[ident] = self
         try:
             self.run()
         except SystemExit:
@@ -87,6 +97,9 @@ class CachedThread(_REAL_THREAD):
                 threading.excepthook(args)
             except Exception:
                 pass
+        finally:
+            with threading._active_limbo_lock:
+                threading._active[ident] = worker
 
     def join(self, timeout=None):
         handle = self._cache_handle

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import os
 import time
 
 import pytest
@@ -20,6 +22,25 @@ class FakeWorker:
 @pytest.fixture
 def fake_workers():
     return lambda n: [FakeWorker(i) for i in range(n)]
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin the calling thread, and so every thread it starts, to one CPU.
+
+    Timed comparisons run under it, as perfbench/run.py runs its children:
+    a hand-off then costs a context switch, not a wake-up of another CPU
+    that may have gone idle, whose latency the host sets and not the code.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def wait_until(pred, timeout=2.0, interval=0.0005):

@@ -13,6 +13,7 @@ import pytest
 from threadcache import ThreadCache, logical_exit
 from threadcache.bench import BenchConfig, median_of, run_workload
 
+from conftest import one_cpu
 from test_idle_store import run_stress
 from test_retention import random_config, random_script, run_script_pair
 from test_runtime import run_idle_bound_schedule
@@ -50,14 +51,16 @@ def spawn_ratio(creators):
     """Median over RUNS pairs of the cached/default spawn-rate ratio.
 
     The two modes alternate run by run, so both runs of a pair see the same
-    phase of the host and a slow stretch cannot land on one mode only.
+    phase of the host and a slow stretch cannot land on one mode only. All
+    threads share one CPU, so cross-CPU wake-ups do not set the ratio.
     """
     cfg = BenchConfig(workload="spawn", creators=creators,
                       duration=DURATION, runs=1, mode="both")
     rates = {mode: [] for mode in cfg.modes}
-    for _ in range(RUNS):
-        for mode in cfg.modes:
-            rates[mode].append(run_workload(cfg, mode)[0].value)
+    with one_cpu():
+        for _ in range(RUNS):
+            for mode in cfg.modes:
+                rates[mode].append(run_workload(cfg, mode)[0].value)
     ratio = median_of([c / d for c, d in zip(rates["cached"],
                                              rates["default"])])
     return ratio, {mode: median_of(v) for mode, v in rates.items()}

@@ -1,6 +1,7 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
 import gc
+import os
 import random
 import sys
 import threading
@@ -298,6 +299,168 @@ class TestTaskContext:
         assert exit_ == ("logical exit", "probe")
 
 
+def forked_child_exit_code():
+    """Fork; the child checks threading's view of its only thread and exits
+    with 0 when it holds, 1 otherwise."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            me = threading.current_thread()
+            if (threading.enumerate() == [me]
+                    and threading.active_count() == 1
+                    and me.ident == threading.get_ident()
+                    and me.is_alive() and me.name in repr(me)):
+                code = 0
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+class TestThreadingRecord:
+    """threading sees each worker as it sees a daemon threading.Thread."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_current_thread_inside_a_task(self, runtime, monkeypatch,
+                                          enabled):
+        dummies = []
+        dummy_init = threading._DummyThread.__init__
+
+        def count_dummy(self):
+            dummies.append(threading.get_ident())
+            dummy_init(self)
+
+        monkeypatch.setattr(threading._DummyThread, "__init__", count_dummy)
+        rt = runtime(enabled=enabled)
+
+        def probe():
+            me = threading.current_thread()
+            return (me.name, me.ident == threading.get_ident(), me.daemon,
+                    me.is_alive(), me.name in repr(me),
+                    str(me.ident) in repr(me))
+
+        for _ in range(3):  # a cold worker, then (cached) the same one
+            h = rt.spawn(probe)
+            assert h.join() == (f"threadcache-worker-{h.worker_id}", True,
+                                True, True, True, True)
+            assert wait_until(lambda: quiescent(rt))
+        assert dummies == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_enumerate_counts_idle_and_running_workers(self, runtime,
+                                                        enabled):
+        assert wait_until(lambda: not any(
+            t.name.startswith("threadcache-") for t in threading.enumerate()),
+            timeout=5.0)
+        base = threading.active_count()
+        rt = runtime(enabled=enabled)
+        go = threading.Event()
+        handles = []
+        for n in range(1, 5):
+            handles.append(rt.spawn(go.wait, 5.0))
+            assert threading.active_count() == base + n
+            assert len(threading.enumerate()) == base + n
+        idents = {h.worker_ident for h in handles}
+        assert idents <= {t.ident for t in threading.enumerate()}
+        go.set()
+        assert all(h.join() for h in handles)
+        if enabled:
+            assert wait_until(lambda: rt.stats().current_idle == 4)
+            assert threading.active_count() == base + 4
+            assert idents <= {t.ident for t in threading.enumerate()}
+        rt.shutdown(join=True, timeout=10.0)
+        if not enabled:  # they exited on their own, not through shutdown
+            assert wait_until(lambda: threading.active_count() == base)
+        assert threading.active_count() == base
+        assert not idents & {t.ident for t in threading.enumerate()}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_settrace_and_setprofile_reach_the_task(self, runtime, enabled):
+        seen = []
+
+        def traced():
+            return 1
+
+        def hook(frame, event, arg):
+            if frame.f_code is traced.__code__:
+                seen.append(event)
+
+        rt = runtime(enabled=enabled)
+        threading.settrace(hook)
+        threading.setprofile(hook)
+        try:
+            assert rt.spawn(traced).join() == 1
+        finally:
+            threading.settrace(None)
+            threading.setprofile(None)
+        rt.shutdown(join=True, timeout=5.0)  # the hooks last as the worker
+        assert sorted(seen) == ["call", "call", "return"]
+
+    def test_record_joins_like_a_started_daemon_thread(self, runtime):
+        rt = runtime(enabled=True)
+        rt.spawn(lambda: None).join()
+        assert wait_until(lambda: rt.stats().current_idle == 1)
+        record, = [t for t in threading.enumerate()
+                   if t.name.startswith("threadcache-worker-")]
+        # as code that joins every thread in enumerate() with a timeout does
+        t0 = time.monotonic()
+        record.join(0.05)
+        assert time.monotonic() - t0 >= 0.04 and record.is_alive()
+        record.join(-1)  # a negative timeout polls
+        with pytest.raises(RuntimeError):
+            record.daemon = False
+        with pytest.raises(RuntimeError):
+            record.start()
+
+        def join_self():
+            with pytest.raises(RuntimeError):
+                threading.current_thread().join(0.01)
+
+        rt.spawn(join_self).join()
+        rt.shutdown(join=False)
+        record.join(5.0)
+        assert not record.is_alive()
+        assert record not in threading.enumerate()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_shutdown_in_a_forked_child_does_not_wait_for_absent_workers(
+            self, runtime):
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        handles = [rt.spawn(go.wait, 5.0) for _ in range(2)]
+        go.set()
+        assert all(h.join() for h in handles)
+        assert wait_until(lambda: rt.stats().current_idle == 2)
+        pid = os.fork()
+        if pid == 0:  # the workers' threads did not survive the fork
+            code = 1
+            try:
+                t0 = time.monotonic()
+                rt.shutdown(join=True, timeout=3.0)
+                code = 0 if time.monotonic() - t0 < 1.0 else 1
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_from_a_task(self, runtime):
+        rt = runtime(enabled=True)
+        for _ in range(2):  # a cold worker, then the same one recycled
+            assert rt.spawn(forked_child_exit_code).join() == 0
+            assert wait_until(lambda: quiescent(rt))
+        assert rt.stats().physical_creates == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_from_main_while_workers_idle(self, runtime):
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        handles = [rt.spawn(go.wait, 5.0) for _ in range(3)]
+        go.set()
+        assert all(h.join() for h in handles)
+        assert wait_until(lambda: rt.stats().current_idle == 3)
+        assert forked_child_exit_code() == 0
+
+
 class TestFailureModes:
     def test_poisoned_task_recycles_worker(self, runtime):
         rt = runtime(enabled=True)
@@ -314,14 +477,11 @@ class TestFailureModes:
                                                        monkeypatch):
         rt = runtime(enabled=True)
 
-        class FailingThread:
-            def __init__(self, *a, **kw):
-                pass
+        def failing_start(function, args):
+            raise RuntimeError("can't start new thread")
 
-            def start(self):
-                raise RuntimeError("out of threads")
-
-        monkeypatch.setattr("threadcache.runtime._OSThread", FailingThread)
+        monkeypatch.setattr("threadcache.runtime._start_new_thread",
+                            failing_start)
         with pytest.raises(SpawnError):
             rt.spawn(lambda: None)
         s = rt.stats()
@@ -529,14 +689,15 @@ class TestShutdown:
         # spawn registers a worker before its thread starts; a shutdown in
         # that window must wait for the worker, not fail to join it
         starting = threading.Event()
+        real_start = threadcache.runtime._start_new_thread
 
-        class SlowStart(threading.Thread):
-            def start(self):
-                starting.set()
-                time.sleep(0.2)
-                super().start()
+        def slow_start(function, args):
+            starting.set()
+            time.sleep(0.2)
+            return real_start(function, args)
 
-        monkeypatch.setattr("threadcache.runtime._OSThread", SlowStart)
+        monkeypatch.setattr("threadcache.runtime._start_new_thread",
+                            slow_start)
         rt = runtime(enabled=True)
         errors = []
 

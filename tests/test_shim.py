@@ -7,6 +7,8 @@ surviving a recycle) is pinned by its own test.
 """
 
 import _thread
+import io
+import logging
 import threading
 import time
 
@@ -215,6 +217,59 @@ def corpus_thread_exit_stops_body():
     return ("exit", tuple(out))
 
 
+def corpus_current_thread_is_the_thread():
+    box = {}
+    t = threading.Thread(
+        target=lambda: box.update(me=threading.current_thread()))
+    t.start()
+    t.join()
+    return ("current-thread", box["me"] is t)
+
+
+def corpus_current_thread_name():
+    box = {}
+    t = threading.Thread(
+        target=lambda: box.update(name=threading.current_thread().name),
+        name="my-thread")
+    t.start()
+    t.join()
+    return ("current-name", box["name"])
+
+
+def corpus_enumerate_lists_running_thread():
+    running, gate = threading.Event(), threading.Event()
+
+    def entry():
+        running.set()
+        gate.wait(5.0)
+
+    t = threading.Thread(target=entry)
+    t.start()
+    running.wait(5.0)
+    listed = t in threading.enumerate()
+    gate.set()
+    t.join()
+    return ("enumerate", listed, t in threading.enumerate())
+
+
+def corpus_logging_thread_name():
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    handler.setFormatter(logging.Formatter("%(threadName)s:%(message)s"))
+    logger = logging.getLogger("threadcache.corpus")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    logger.propagate = False
+    try:
+        t = threading.Thread(target=logger.info, args=("hello",),
+                             name="logging-thread")
+        t.start()
+        t.join()
+    finally:
+        logger.removeHandler(handler)
+    return ("logging", stream.getvalue())
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -231,6 +286,10 @@ CORPUS = [
     corpus_name_and_ident,
     corpus_detached_fire_and_forget,
     corpus_thread_exit_stops_body,
+    corpus_current_thread_is_the_thread,
+    corpus_current_thread_name,
+    corpus_enumerate_lists_running_thread,
+    corpus_logging_thread_name,
 ]
 
 
