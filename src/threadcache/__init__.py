@@ -3,7 +3,8 @@
 Logically terminated threads are parked on a LIFO idle store and recycled
 to serve later spawns, avoiding the kernel cost of creating and destroying
 physical threads. Includes pluggable retention policies, a drop-in
-``threading.Thread`` interposition shim, and a benchmark harness.
+``threading.Thread`` interposition shim, and the acceptance gate's spawn and
+fork-join measurements.
 """
 
 from .idle_store import IdleStore

@@ -111,6 +111,15 @@ class IdleStore:
             self._closed = True
             return self._take_front(len(self._items))
 
+    def after_fork(self) -> "IdleStore":
+        """In a forked child: close this store, whose workers did not fork,
+        and return an empty one that carries on its pop count and peak."""
+        self._lock._at_fork_reinit()
+        self._closed = True
+        new = IdleStore(self._retention)
+        new._pops, new._peak = self._pops, self._peak
+        return new
+
     def integral(self, now: Optional[int] = None) -> float:
         """Sum of idle ages of the stored workers, in thread-seconds."""
         if now is None:

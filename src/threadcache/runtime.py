@@ -40,6 +40,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from _thread import start_new_thread as _start_new_thread  # immune to the shim
 from dataclasses import dataclass
 from threading import Thread as _OSThread  # real class; immune to shim patching
@@ -246,13 +247,6 @@ class _WorkerThread(_OSThread):
         if lk.acquire(True, -1 if timeout is None else max(timeout, 0)):
             lk.release()  # let other joiners through
 
-    def _reset_internal_locks(self, is_alive):
-        # called by threading._after_fork in the child, which then stops the
-        # records of the workers that did not fork: their exit locks are
-        # copies held for ever, so free them for join and shutdown
-        if not is_alive:
-            self._exit_lock._at_fork_reinit()
-
     def __repr__(self):
         return "<%s(%s, %s daemon %s)>" % (
             type(self).__name__, self._name,
@@ -310,6 +304,7 @@ class ThreadCache:
             self._reaper = _OSThread(target=self._reaper_loop,
                                      name="threadcache-reaper", daemon=True)
             self._reaper.start()
+        _runtimes.add(self)
 
     # -- public API -------------------------------------------------------
 
@@ -511,6 +506,26 @@ class ThreadCache:
             except Exception:
                 log.exception("reaper pass failed")
 
+
+_runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()
+
+
+def _after_fork_in_child():
+    """Only the forking thread survives a fork. Each runtime forgets the
+    workers that did not fork, counts them culled and takes a new store; a
+    worker that forked holds the old, closed one, so it exits after its
+    task, as a forked ``threading.Thread`` does."""
+    me = _thread.get_ident()
+    for rt in list(_runtimes):
+        rt._count_lock._at_fork_reinit()
+        rt._store = rt._store.after_fork()
+        for w in [w for w in rt._live.values() if w.ident != me]:
+            del rt._live[w.worker_id]
+            w._exit_lock._at_fork_reinit()  # its record's join returns
+        rt._culls = rt._creates - len(rt._live)
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 _default_lock = threading.Lock()
 _default: Optional[ThreadCache] = None

@@ -88,20 +88,22 @@ def test_criterion_3_sweep_dominance():
         sweep.append(k)
         k *= 2
     sweep.append(CPUS)
-    cfg = BenchConfig(workload="spawn", duration=max(0.5, DURATION / 2),
-                      runs=RUNS, mode="both", sweep=sweep)
     medians = {}
     for creators in sweep:
-        point = BenchConfig(**{**cfg.__dict__, "creators": creators,
-                               "sweep": None})
-        for mode in cfg.modes:
+        point = BenchConfig(workload="spawn", creators=creators,
+                            duration=max(0.5, DURATION / 2), runs=RUNS,
+                            mode="both")
+        for mode in point.modes:
             vals = [r.value for r in run_workload(point, mode)]
             medians[(mode, creators)] = median_of(vals)
     losses = [k for k in sweep
               if medians[("cached", k)] < medians[("default", k)]]
+    points = "; ".join(f"K={k} cached {medians[('cached', k)]:.0f}/s "
+                       f"default {medians[('default', k)]:.0f}/s"
+                       for k in sweep)
     report(3, not losses,
            f"sweep {sweep}: cached median >= default median at every point"
-           + (f" EXCEPT {losses}" if losses else ""))
+           + (f" EXCEPT {losses}" if losses else "") + f" ({points})")
 
 
 def test_criterion_4_reuse_accounting():

@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -299,6 +300,14 @@ class TestTaskContext:
         assert exit_ == ("logical exit", "probe")
 
 
+def idle_workers(rt, n):
+    go = threading.Event()
+    handles = [rt.spawn(go.wait, 5.0) for _ in range(n)]
+    go.set()
+    assert all(h.join() for h in handles)
+    assert wait_until(lambda: rt.stats().current_idle == n)
+
+
 def forked_child_exit_code():
     """Fork; the child checks threading's view of its only thread and exits
     with 0 when it holds, 1 otherwise."""
@@ -426,11 +435,7 @@ class TestThreadingRecord:
     def test_shutdown_in_a_forked_child_does_not_wait_for_absent_workers(
             self, runtime):
         rt = runtime(enabled=True)
-        go = threading.Event()
-        handles = [rt.spawn(go.wait, 5.0) for _ in range(2)]
-        go.set()
-        assert all(h.join() for h in handles)
-        assert wait_until(lambda: rt.stats().current_idle == 2)
+        idle_workers(rt, 2)
         pid = os.fork()
         if pid == 0:  # the workers' threads did not survive the fork
             code = 1
@@ -453,12 +458,64 @@ class TestThreadingRecord:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_fork_from_main_while_workers_idle(self, runtime):
         rt = runtime(enabled=True)
-        go = threading.Event()
-        handles = [rt.spawn(go.wait, 5.0) for _ in range(3)]
-        go.set()
-        assert all(h.join() for h in handles)
-        assert wait_until(lambda: rt.stats().current_idle == 3)
+        idle_workers(rt, 3)
         assert forked_child_exit_code() == 0
+
+
+def reap_child(pid, timeout=5.0):
+    """The child's exit code, or None when it outlived timeout (then it is
+    killed, so no test leaves a child behind)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestFork:
+    """A forked child keeps only the forking thread; the runtime follows."""
+
+    def test_child_forked_from_a_task_exits_when_the_task_returns(
+            self, runtime):
+        rt = runtime(enabled=True)
+        idle_workers(rt, 3)
+
+        def fork():
+            pid = os.fork()
+            if pid == 0:  # only this worker is left, and it is running
+                s = rt.stats()
+                if not (s.physical_creates - s.physical_culls
+                        == len(rt._live) == 1 and s.current_idle == 0):
+                    os._exit(1)
+            return pid  # the child's only thread exits, as a Thread's would
+
+        assert reap_child(rt.spawn(fork).join()) == 0
+
+    def test_spawn_in_a_child_forked_with_idle_workers(self, runtime):
+        rt = runtime(enabled=True)
+        idle_workers(rt, 3)
+        records = [t for t in threading.enumerate()
+                   if t.name.startswith("threadcache-worker-")]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                t0 = time.monotonic()
+                for r in records:  # stopped: their threads did not fork
+                    r.join(2.0)
+                if time.monotonic() - t0 < 1.0 and quiescent(rt):
+                    h = rt.spawn(lambda: 42)
+                    if (h.wait(2.0) and h.join() == 42
+                            and wait_until(lambda: quiescent(rt))):
+                        code = 0
+            finally:
+                os._exit(code)
+        assert reap_child(pid) == 0
 
 
 class TestFailureModes:
