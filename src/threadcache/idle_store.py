@@ -2,10 +2,11 @@
 
 push applies the retention clamp, stamps ``idle_since`` (monotonic ns) and
 appends, all under the lock; pop takes the newest from the end, and the
-culls slice from the front. The lock also guards a running sum of the
-stamps (an O(1) idle integral), the exact peak depth and the count of
-successful pops (the runtime's cache hits). ``close`` drains the store and
-refuses every later push.
+culls slice from the front. The lock also guards the exact peak depth and
+the count of successful pops (the runtime's cache hits). The idle integral
+is summed over the stamps when it is read, by the reaper only, so the hit
+path keeps no running total. ``close`` drains the store and refuses every
+later push.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -33,7 +34,6 @@ class IdleStore:
             else sys.maxsize
         self._lock = threading.Lock()
         self._items: List = []
-        self._stamp_sum = 0
         self._peak = 0
         self._pops = 0
         self._closed = False
@@ -60,7 +60,6 @@ class IdleStore:
                 now = time.monotonic_ns()
             worker.idle_since = now
             items.append(worker)
-            self._stamp_sum += now
             if len(items) > self._peak:
                 self._peak = len(items)
             return evicted
@@ -76,7 +75,6 @@ class IdleStore:
             if not items:
                 return None
             w = items.pop()
-            self._stamp_sum -= w.idle_since
             self._pops += 1
             return w
         finally:
@@ -85,7 +83,6 @@ class IdleStore:
     def _take_front(self, k: int) -> List:  # caller holds the lock
         out = self._items[:k]
         del self._items[:k]
-        self._stamp_sum -= sum(w.idle_since for w in out)
         return out
 
     def cull_oldest(self, k: int) -> List:
@@ -121,11 +118,12 @@ class IdleStore:
         return new
 
     def integral(self, now: Optional[int] = None) -> float:
-        """Sum of idle ages of the stored workers, in thread-seconds."""
+        """Sum of idle ages of the stored workers, in thread-seconds; one
+        pass over the store under its lock."""
         if now is None:
             now = time.monotonic_ns()
         with self._lock:
-            return (len(self._items) * now - self._stamp_sum) / 1e9
+            return sum(now - w.idle_since for w in self._items) / 1e9
 
     def snapshot(self) -> List:
         """Stored workers newest-first, from one consistent pass."""

@@ -110,7 +110,7 @@ def reap(store, now: int, cfg: RetentionConfig) -> List:
     if pol is Policy.AGE_OUT:
         return store.cull_older_than(now - int(cfg.max_idle_age * _NS))
     if pol is Policy.INTEGRAL_BUDGET:
-        if store.integral(now) <= cfg.budget:  # O(1): the usual pass
+        if store.integral(now) <= cfg.budget:  # the usual pass
             return []
         # one pass over one snapshot: count the oldest workers whose removal
         # brings the integral within budget, then cull them in one call.

@@ -21,11 +21,12 @@ worker owns one park lock for life: a successful acquire leaves it held,
 which re-arms it, and whoever removes a worker from the store releases it
 exactly once.
 
-Workers are raw ``_thread`` threads: starting one costs no ``Thread``
-object, ``Event`` or bootstrap. Each worker registers its own
-``_WorkerThread`` record in ``threading._active`` before any task runs, so
-``current_thread()``, ``enumerate()`` and ``active_count()`` see idle and
-running workers as they would ``threading.Thread``s, and removes it on exit.
+Workers run on raw ``_thread`` threads: starting one costs no
+``Thread.__init__``, ``Event`` or bootstrap. A ``Worker`` is itself the
+``Thread`` that ``threading`` sees: it puts itself in ``threading._active``
+before any task runs, so ``current_thread()`` in a task is the worker, and
+``enumerate()`` and ``active_count()`` see idle and running workers as they
+would ``threading.Thread``s; it removes itself on exit.
 
 Set ``THREADCACHE=0`` to disable caching entirely: every spawn is then a
 physical create and every exit a physical exit.
@@ -214,28 +215,43 @@ class JoinHandle:
         return self._fired
 
 
-class _WorkerThread(_OSThread):
-    """What ``threading`` sees of a worker: a record in ``threading._active``.
+class Worker(_OSThread):
+    """One physical thread, and its record in ``threading._active``: the
+    park channel, exit latch and the runtime and task it serves (``task``
+    is None outside a dispatch).
 
-    Built without ``Thread.__init__``, as ``threading._DummyThread`` is but
-    cheaper: no Event and no tstate lock of its own. It shares one set
-    ``_started`` Event, so ``start()`` and setting ``daemon`` raise as on a
-    started thread, and ``join`` waits on the worker's exit lock. The worker
-    registers it before its first task and removes it as it exits.
+    Like ``threading._DummyThread`` it enters ``threading._active`` itself,
+    but it is built without ``Thread.__init__``: no Event and no tstate lock
+    of its own. It shares one set ``_started`` Event, so ``start()`` and
+    setting ``daemon`` raise as on a started thread, and ``join`` waits on
+    the exit lock. The worker registers itself before its first task and
+    removes itself as it exits.
     """
+
+    __slots__ = ("worker_id", "idle_since", "rt", "task",
+                 "_park_lock", "_exit_lock", "_box")
 
     _initialized = True
     _daemonic = True
     _is_stopped = False
     _tstate_lock = None
+    _ident = _native_id = None  # set by the thread itself once it runs
     _started = threading.Event()
     _started.set()
 
-    def __init__(self, name: str, ident: int, exit_lock):
-        self._name = name
-        self._ident = ident
-        self._native_id = _thread.get_native_id()
-        self._exit_lock = exit_lock
+    def __init__(self, worker_id: int, rt: "ThreadCache"):
+        self._name = f"threadcache-worker-{worker_id}"
+        self.worker_id = worker_id
+        self.idle_since = 0
+        self.rt = rt
+        self.task = None
+        lk = _thread.allocate_lock()
+        lk.acquire()
+        self._park_lock = lk
+        lk = _thread.allocate_lock()
+        lk.acquire()
+        self._exit_lock = lk  # released once the worker has exited
+        self._box = None
 
     def is_alive(self):
         return not self._is_stopped
@@ -246,33 +262,6 @@ class _WorkerThread(_OSThread):
         lk = self._exit_lock
         if lk.acquire(True, -1 if timeout is None else max(timeout, 0)):
             lk.release()  # let other joiners through
-
-    def __repr__(self):
-        return "<%s(%s, %s daemon %s)>" % (
-            type(self).__name__, self._name,
-            "stopped" if self._is_stopped else "started", self._ident)
-
-
-class Worker:
-    """One physical thread: identity, park channel, exit latch and the
-    runtime and task it serves (``task`` is None outside a dispatch)."""
-
-    __slots__ = ("worker_id", "idle_since", "ident", "rt", "task",
-                 "_park_lock", "_exit_lock", "_box")
-
-    def __init__(self, worker_id: int, rt: "ThreadCache"):
-        self.worker_id = worker_id
-        self.idle_since = 0
-        self.ident = None
-        self.rt = rt
-        self.task = None
-        lk = _thread.allocate_lock()
-        lk.acquire()
-        self._park_lock = lk
-        lk = _thread.allocate_lock()
-        lk.acquire()
-        self._exit_lock = lk  # released once the worker has exited
-        self._box = None
 
 
 class ThreadCache:
@@ -299,11 +288,7 @@ class ThreadCache:
         self._reset_hooks: List[Callable] = []
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
         self._stop_event = threading.Event()
-        self._reaper = None
-        if self._enabled and self._retention.needs_reaper:
-            self._reaper = _OSThread(target=self._reaper_loop,
-                                     name="threadcache-reaper", daemon=True)
-            self._reaper.start()
+        self._start_reaper()
         _runtimes.add(self)
 
     # -- public API -------------------------------------------------------
@@ -335,7 +320,7 @@ class ThreadCache:
         if self._enabled:
             w = self._store.pop()
             if w is not None:
-                task.worker_ident = w.ident
+                task.worker_ident = w._ident
                 w._box = task
                 w._park_lock.release()
                 return task
@@ -362,7 +347,7 @@ class ThreadCache:
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
         # until the worker is visible to threading, as Thread.start waits
         started.acquire()
-        task.worker_ident = w.ident
+        task.worker_ident = w._ident
         return task
 
     def stats(self) -> CacheStats:
@@ -421,13 +406,23 @@ class ThreadCache:
                 self._reaper.join(max(0.0, deadline - time.monotonic()))
             me = threading.get_ident()
             with self._count_lock:
-                workers = [w for w in self._live.values() if w.ident != me]
+                workers = [w for w in self._live.values() if w._ident != me]
             for w in workers:  # some may not have started yet
                 lk = w._exit_lock
                 if lk.acquire(True, max(0.0, deadline - time.monotonic())):
                     lk.release()  # let other shutdowns through
 
     # -- internals --------------------------------------------------------
+
+    def _start_reaper(self):
+        """Start the background reaper if the retention policy needs one
+        and the runtime is open."""
+        self._reaper = None
+        if (self._enabled and self._retention.needs_reaper
+                and not self._stop_event.is_set()):
+            self._reaper = _OSThread(target=self._reaper_loop,
+                                     name="threadcache-reaper", daemon=True)
+            self._reaper.start()
 
     def _terminate_worker(self, w: Worker):
         w._box = _TERMINATE_ORDER
@@ -437,11 +432,10 @@ class ThreadCache:
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
-        ident = worker.ident = _thread.get_ident()
-        record = _WorkerThread(f"threadcache-worker-{worker.worker_id}", ident,
-                               worker._exit_lock)
+        ident = worker._ident = _thread.get_ident()
+        worker._native_id = _thread.get_native_id()
         with threading._active_limbo_lock:  # rebound by threading._after_fork
-            threading._active[ident] = record
+            threading._active[ident] = worker
         if threading._trace_hook:
             sys.settrace(threading._trace_hook)
         if threading._profile_hook:
@@ -495,7 +489,7 @@ class ThreadCache:
             del self._live[worker.worker_id]
         with threading._active_limbo_lock:
             del threading._active[ident]
-            record._is_stopped = True
+            worker._is_stopped = True
         worker._exit_lock.release()
 
     def _reaper_loop(self):
@@ -512,17 +506,23 @@ _runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()
 
 def _after_fork_in_child():
     """Only the forking thread survives a fork. Each runtime forgets the
-    workers that did not fork, counts them culled and takes a new store; a
-    worker that forked holds the old, closed one, so it exits after its
-    task, as a forked ``threading.Thread`` does."""
+    workers that did not fork, counts them culled, takes a new store and
+    starts a new reaper. A worker that forked holds the old, closed store,
+    so it exits after its task, as a forked ``threading.Thread`` does; no
+    reaper is started in its child, which would outlive it and keep the
+    child from ending."""
     me = _thread.get_ident()
+    from_worker = _current.worker is not None
     for rt in list(_runtimes):
         rt._count_lock._at_fork_reinit()
         rt._store = rt._store.after_fork()
-        for w in [w for w in rt._live.values() if w.ident != me]:
+        for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]
-            w._exit_lock._at_fork_reinit()  # its record's join returns
+            w._exit_lock._at_fork_reinit()  # its join returns at once
         rt._culls = rt._creates - len(rt._live)
+        rt._stop_event._at_fork_reinit()
+        if not from_worker:
+            rt._start_reaper()
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from threadcache import ThreadCache, logical_exit
-from threadcache.bench import BenchConfig, median_of, run_workload
+from threadcache.bench import forkjoin_ms, median_of, spawn_rate
 
 from conftest import one_cpu
 from test_idle_store import run_stress
@@ -54,13 +54,12 @@ def spawn_ratio(creators):
     phase of the host and a slow stretch cannot land on one mode only. All
     threads share one CPU, so cross-CPU wake-ups do not set the ratio.
     """
-    cfg = BenchConfig(workload="spawn", creators=creators,
-                      duration=DURATION, runs=1, mode="both")
-    rates = {mode: [] for mode in cfg.modes}
+    rates = {"default": [], "cached": []}
     with one_cpu():
         for _ in range(RUNS):
-            for mode in cfg.modes:
-                rates[mode].append(run_workload(cfg, mode)[0].value)
+            for mode in rates:
+                rates[mode].append(
+                    spawn_rate(creators, DURATION, mode == "cached")[0])
     ratio = median_of([c / d for c, d in zip(rates["cached"],
                                              rates["default"])])
     return ratio, {mode: median_of(v) for mode, v in rates.items()}
@@ -90,11 +89,9 @@ def test_criterion_3_sweep_dominance():
     sweep.append(CPUS)
     medians = {}
     for creators in sweep:
-        point = BenchConfig(workload="spawn", creators=creators,
-                            duration=max(0.5, DURATION / 2), runs=RUNS,
-                            mode="both")
-        for mode in point.modes:
-            vals = [r.value for r in run_workload(point, mode)]
+        for mode in ("default", "cached"):
+            vals = [spawn_rate(creators, max(0.5, DURATION / 2),
+                               mode == "cached")[0] for _ in range(RUNS)]
             medians[(mode, creators)] = median_of(vals)
     losses = [k for k in sweep
               if medians[("cached", k)] < medians[("default", k)]]
@@ -107,12 +104,11 @@ def test_criterion_3_sweep_dominance():
 
 
 def test_criterion_4_reuse_accounting():
-    cfg = BenchConfig(workload="spawn", creators=2, duration=DURATION,
-                      runs=1, mode="cached")
-    snap = run_workload(cfg, "cached")[0].stats_snapshot
+    creators = 2
+    _, snap = spawn_rate(creators, DURATION, cached=True)
     conserved = snap.spawns_total == snap.cache_hits + snap.physical_creates
     hit_rate = snap.cache_hits / snap.spawns_total
-    bounded = snap.physical_creates <= 2 * cfg.creators
+    bounded = snap.physical_creates <= 2 * creators
     report(4, conserved and hit_rate > 0.99 and bounded,
            f"spawns={snap.spawns_total} hits={snap.cache_hits} "
            f"creates={snap.physical_creates} hit-rate={hit_rate:.4f} "
@@ -187,10 +183,8 @@ def test_criterion_9_shim_conformance():
         if patched != plain:
             mismatches.append((entry.__name__, plain, patched))
     sort_ok = True
-    for mode in ("default", "cached"):
-        cfg = BenchConfig(workload="forkjoin", runs=1, mode=mode,
-                          forkjoin_n=50_000, cutoff=2048)
-        sort_ok = sort_ok and run_workload(cfg, mode)[0].value > 0
+    for cached in (False, True):
+        sort_ok = sort_ok and forkjoin_ms(50_000, 2048, cached)[0] > 0
     report(9, not mismatches and sort_ok,
            f"{len(CORPUS)}-program corpus identical with/without shim"
            + (f" EXCEPT {mismatches}" if mismatches else "")

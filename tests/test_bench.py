@@ -1,4 +1,4 @@
-"""Acceptance-gate measurements: medians, config, workload semantics."""
+"""Acceptance-gate measurements: medians and workload semantics."""
 
 import statistics
 import time
@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 import threadcache.bench as bench
 from threadcache import ThreadCache
-from threadcache.bench import (BenchConfig, GateError, forkjoin_sort,
-                               median_of, run_workload)
+from threadcache.bench import (GateError, forkjoin_ms, forkjoin_sort,
+                               median_of, spawn_rate)
 
 from conftest import one_cpu
-
-FAST = dict(duration=0.05, runs=1, mode="cached")
 
 
 class TestMedian:
@@ -43,42 +41,14 @@ class TestMedian:
         assert median_of(vals) == statistics.median(vals)
 
 
-class TestConfig:
-    @pytest.mark.parametrize("kw", [
-        {"workload": "nope"},
-        {"mode": "nope"},
-        {"duration": 0},
-        {"runs": 2},
-        {"runs": 0},
-        {"creators": 0},
-    ])
-    def test_invalid(self, kw):
-        with pytest.raises(ValueError):
-            BenchConfig(**kw)
-
-    def test_runs_default_is_odd_seven(self):
-        assert BenchConfig().runs == 7
-
-    def test_modes_expansion(self):
-        assert BenchConfig(mode="both").modes == ["default", "cached"]
-        assert BenchConfig(mode="cached").modes == ["cached"]
-
-
 class TestSpawnBench:
     def test_cached_run_produces_results(self):
-        cfg = BenchConfig(workload="spawn", **FAST)
-        results = run_workload(cfg, "cached")
-        assert len(results) == 1
-        r = results[0]
-        assert r.value > 0
-        snap = r.stats_snapshot
+        rate, snap = spawn_rate(1, 0.05, cached=True)
+        assert rate > 0
         assert snap.spawns_total == snap.cache_hits + snap.physical_creates
 
     def test_default_mode_fidelity_no_cache_hits(self):
-        cfg = BenchConfig(workload="spawn", duration=0.05, runs=1,
-                          mode="default")
-        r = run_workload(cfg, "default")[0]
-        assert r.stats_snapshot.cache_hits == 0
+        assert spawn_rate(1, 0.05, cached=False)[1].cache_hits == 0
 
     def test_warmup_physical_creates_stop_growing(self):
         # second-half creation is a sliver of first-half creation
@@ -100,33 +70,25 @@ class TestSpawnBench:
 
 class TestForkJoin:
     def test_sorts_correctly_both_modes(self):
-        for mode in ("default", "cached"):
-            cfg = BenchConfig(workload="forkjoin", runs=1, mode=mode,
-                              forkjoin_n=20_000, cutoff=1024)
-            r = run_workload(cfg, mode)[0]
-            assert r.value > 0
+        for cached in (False, True):
+            assert forkjoin_ms(20_000, 1024, cached)[0] > 0
 
     def test_cutoff_at_n_spawns_nothing(self):
         vals = {}
-        for mode in ("default", "cached"):
-            cfg = BenchConfig(workload="forkjoin", runs=1, mode=mode,
-                              forkjoin_n=10_000, cutoff=10_000)
-            r = run_workload(cfg, mode)[0]
-            assert r.stats_snapshot.spawns_total == 0
-            vals[mode] = r.value
+        for cached in (False, True):
+            vals[cached], snap = forkjoin_ms(10_000, 10_000, cached)
+            assert snap.spawns_total == 0
         # zero-thread case: the two modes run the same sequential code
-        assert vals["cached"] < vals["default"] * 5
-        assert vals["default"] < vals["cached"] * 5
+        assert vals[True] < vals[False] * 5
+        assert vals[False] < vals[True] * 5
 
     def test_cached_beats_default_when_spawns_dominate(self):
         vals = {}
         with one_cpu():  # as in spawn_ratio of test_acceptance.py
-            for mode in ("default", "cached"):
-                cfg = BenchConfig(workload="forkjoin", runs=5, mode=mode,
-                                  forkjoin_n=4096, cutoff=16)
-                vals[mode] = median_of([r.value
-                                        for r in run_workload(cfg, mode)])
-        assert vals["cached"] < vals["default"]
+            for cached in (False, True):
+                vals[cached] = median_of([forkjoin_ms(4096, 16, cached)[0]
+                                          for _ in range(5)])
+        assert vals[True] < vals[False]
 
     def test_sort_matches_builtin(self):
         import random
@@ -147,10 +109,8 @@ class TestForkJoin:
             return out
 
         monkeypatch.setattr(bench, "forkjoin_sort", corrupt)
-        cfg = BenchConfig(workload="forkjoin", runs=1, mode="cached",
-                          forkjoin_n=1000, cutoff=256)
         with pytest.raises(GateError):
-            run_workload(cfg, "cached")
+            forkjoin_ms(1000, 256, cached=True)
 
     def test_bad_cutoff(self):
         rt = ThreadCache(enabled=True)

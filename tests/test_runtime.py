@@ -346,12 +346,12 @@ class TestThreadingRecord:
             me = threading.current_thread()
             return (me.name, me.ident == threading.get_ident(), me.daemon,
                     me.is_alive(), me.name in repr(me),
-                    str(me.ident) in repr(me))
+                    str(me.ident) in repr(me), me is rt.current_worker())
 
         for _ in range(3):  # a cold worker, then (cached) the same one
             h = rt.spawn(probe)
             assert h.join() == (f"threadcache-worker-{h.worker_id}", True,
-                                True, True, True, True)
+                                True, True, True, True, True)
             assert wait_until(lambda: quiescent(rt))
         assert dummies == []
 
@@ -371,6 +371,7 @@ class TestThreadingRecord:
             assert len(threading.enumerate()) == base + n
         idents = {h.worker_ident for h in handles}
         assert idents <= {t.ident for t in threading.enumerate()}
+        assert all(w in threading.enumerate() for w in rt._live.values())
         go.set()
         assert all(h.join() for h in handles)
         if enabled:
@@ -482,7 +483,9 @@ class TestFork:
 
     def test_child_forked_from_a_task_exits_when_the_task_returns(
             self, runtime):
-        rt = runtime(enabled=True)
+        # under a reaping policy, too: no reaper starts in this child
+        rt = runtime(enabled=True,
+                     retention=RetentionConfig(policy=Policy.AGE_OUT))
         idle_workers(rt, 3)
 
         def fork():
@@ -513,6 +516,22 @@ class TestFork:
                     if (h.wait(2.0) and h.join() == 42
                             and wait_until(lambda: quiescent(rt))):
                         code = 0
+            finally:
+                os._exit(code)
+        assert reap_child(pid) == 0
+
+    def test_reaper_ages_out_idle_workers_in_a_child(self, runtime):
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=0.05,
+                              reap_period=0.02)
+        rt = runtime(enabled=True, retention=cfg)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                rt.spawn(lambda: None).join()
+                if wait_until(lambda: rt.stats().physical_culls == 1
+                              and quiescent(rt), timeout=3.0):
+                    code = 0
             finally:
                 os._exit(code)
         assert reap_child(pid) == 0
