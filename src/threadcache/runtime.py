@@ -8,7 +8,7 @@ worker with the most residual cache residency and scheduling affinity.
 
 Fast-path rules, in order, for every recycle:
 
-1. run the task's entry,
+1. run the task's entry and set the handle's value, which marks it done,
 2. fire the completion latch (so join returns while the worker lives on),
 3. only then publish the worker on the idle store.
 
@@ -16,10 +16,11 @@ Joiners therefore never observe a worker in the store whose task has not
 completed.
 
 A cache hit takes the store's lock once (the pop, which also counts the
-hit) and releases the worker's park lock; it takes no runtime lock. Each
-worker owns one park lock for life: a successful acquire leaves it held,
-which re-arms it, and whoever removes a worker from the store releases it
-exactly once.
+hit), writes the task into the worker's ``task`` slot and releases the
+worker's park lock; it takes no runtime lock. Each worker owns one park
+lock for life: a successful acquire leaves it held, which re-arms it, and
+whoever removes a worker from the store releases it exactly once. A
+worker woken with no task exits.
 
 Workers run on raw ``_thread`` threads: starting one costs no
 ``Thread.__init__``, ``Event`` or bootstrap. A ``Worker`` is itself the
@@ -54,7 +55,7 @@ from .retention import RetentionConfig
 log = logging.getLogger(__name__)
 
 _NO_ARG = object()
-_TERMINATE_ORDER = object()
+_PENDING = object()  # a handle's value until its task completes
 
 
 class _TaskContext(threading.local):
@@ -69,7 +70,7 @@ class _TaskContext(threading.local):
 _current = _TaskContext()
 
 
-# join_state values (plain ints: compared on the join fast path)
+# JoinHandle._state values (plain ints: compared on the join fast path)
 JOINABLE, JOINED, DETACHED = 0, 1, 2
 
 
@@ -96,23 +97,15 @@ class _Poisoned:
         self.exc = exc
 
 
-class _LogicalExit(BaseException):
-    __slots__ = ("status",)
-
-    def __init__(self, status):
-        self.status = status
-
-
 def logical_exit(status: Any = None):
     """Terminate the calling *logical* thread with the given exit status.
 
-    Unwinds back to the dispatch loop; the physical thread survives and
-    recycles. On a thread not managed by any runtime this falls through to
-    genuine thread termination.
+    Raises ``SystemExit(status)``, as ``_thread.exit()`` and ``sys.exit()``
+    do, so an ``except SystemExit`` in the task catches it. In a task it
+    unwinds to the dispatch loop, which takes the code as the task's value,
+    and the physical thread recycles; on any other thread it terminates the
+    thread for real.
     """
-    w = _current.worker
-    if w is not None and w.task is not None:
-        raise _LogicalExit(status)
     raise SystemExit(status)
 
 
@@ -135,13 +128,14 @@ class CacheStats:
 class JoinHandle:
     """The logical-thread record: entry, one-shot completion latch, join state.
 
-    The latch is a raw lock held until the task completes; ``wait`` is
-    non-consuming and supports multiple waiters, ``join`` consumes the
-    handle exactly once.
+    The task is done once its value is set; the latch is a raw lock held
+    until then. ``wait`` is non-consuming and supports multiple waiters,
+    ``join`` consumes the handle exactly once. ``worker`` is the ``Worker``
+    that runs the task, set by ``spawn`` before it returns.
     """
 
-    __slots__ = ("_entry", "_arg", "_latch", "_value", "_fired",
-                 "_join_state", "logical_id", "worker_id", "worker_ident")
+    __slots__ = ("_entry", "_arg", "_latch", "_value", "_state",
+                 "logical_id", "worker")
 
     _ids = itertools.count(1)
 
@@ -151,12 +145,9 @@ class JoinHandle:
         self._latch = lk
         self._entry = entry
         self._arg = arg
-        self._value = None
-        self._fired = False
-        self._join_state = JOINABLE
+        self._value = _PENDING
+        self._state = JOINABLE
         self.logical_id = next(JoinHandle._ids)
-        self.worker_id = None
-        self.worker_ident = None
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the task completes; True on completion, False on timeout.
@@ -164,7 +155,7 @@ class JoinHandle:
         Does not consume the handle and may be called by any number of
         threads. A negative timeout polls, as for ``threading.Thread.join``.
         """
-        if self._fired:
+        if self._value is not _PENDING:
             return True
         lk = self._latch
         if timeout is None:
@@ -184,12 +175,12 @@ class JoinHandle:
         w = _current.worker
         if w is not None and w.task is self:
             raise DeadlockError("a task cannot join its own handle")
-        st = self._join_state
+        st = self._state
         if st != JOINABLE:
             raise UsageError("handle already %s" %
                              ("joined" if st == JOINED else "detached"))
-        self._join_state = JOINED
-        if not self._fired:
+        self._state = JOINED
+        if self._value is _PENDING:
             lk = self._latch
             lk.acquire()
             lk.release()  # let waiters through
@@ -200,25 +191,22 @@ class JoinHandle:
 
     def detach(self):
         """Give up the right to join; the worker still recycles on completion."""
-        st = self._join_state
+        st = self._state
         if st != JOINABLE:
             raise UsageError("cannot detach a handle already %s" %
                              ("joined" if st == JOINED else "detached"))
-        self._join_state = DETACHED
-
-    @property
-    def join_state(self) -> int:
-        return self._join_state
+        self._state = DETACHED
 
     @property
     def finished(self) -> bool:
-        return self._fired
+        return self._value is not _PENDING
 
 
 class Worker(_OSThread):
     """One physical thread, and its record in ``threading._active``: the
-    park channel, exit latch and the runtime and task it serves (``task``
-    is None outside a dispatch).
+    park channel, exit latch and the runtime and task it serves. ``task``
+    is the hand-off: the spawner writes it before waking the worker, and
+    it is None outside a dispatch.
 
     Like ``threading._DummyThread`` it enters ``threading._active`` itself,
     but it is built without ``Thread.__init__``: no Event and no tstate lock
@@ -229,7 +217,7 @@ class Worker(_OSThread):
     """
 
     __slots__ = ("worker_id", "idle_since", "rt", "task",
-                 "_park_lock", "_exit_lock", "_box")
+                 "_park_lock", "_exit_lock")
 
     _initialized = True
     _daemonic = True
@@ -251,7 +239,6 @@ class Worker(_OSThread):
         lk = _thread.allocate_lock()
         lk.acquire()
         self._exit_lock = lk  # released once the worker has exited
-        self._box = None
 
     def is_alive(self):
         return not self._is_stopped
@@ -320,13 +307,14 @@ class ThreadCache:
         if self._enabled:
             w = self._store.pop()
             if w is not None:
-                task.worker_ident = w._ident
-                w._box = task
+                task.worker = w
+                w.task = task
                 w._park_lock.release()
                 return task
         w = Worker(next(self._worker_ids), self)
         wid = w.worker_id
-        w._box = task  # not a thread arg: the thread would keep it for life
+        task.worker = w
+        w.task = task  # not a thread arg: the thread would keep it for life
         # registered and counted before start: a disabled-mode worker can
         # exit, and unregister itself, before spawn returns
         with self._count_lock:
@@ -347,7 +335,6 @@ class ThreadCache:
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
         # until the worker is visible to threading, as Thread.start waits
         started.acquire()
-        task.worker_ident = w._ident
         return task
 
     def stats(self) -> CacheStats:
@@ -367,10 +354,10 @@ class ThreadCache:
         """Register a best-effort per-dispatch initializer.
 
         Runs on the worker before each task. A hook's Exception is logged
-        and the task still runs; any other BaseException (``logical_exit``,
-        ``SystemExit``) ends the task before its entry runs and is its
-        outcome. Thread-local state is NOT otherwise reset between logical
-        threads; entries must not rely on virgin thread-local values.
+        and the task still runs; any other BaseException (a ``SystemExit``
+        from ``logical_exit``, say) ends the task before its entry runs and
+        is its outcome. Thread-local state is NOT otherwise reset between
+        logical threads; entries must not rely on virgin thread-local values.
         """
         self._reset_hooks.append(fn)
 
@@ -408,9 +395,7 @@ class ThreadCache:
             with self._count_lock:
                 workers = [w for w in self._live.values() if w._ident != me]
             for w in workers:  # some may not have started yet
-                lk = w._exit_lock
-                if lk.acquire(True, max(0.0, deadline - time.monotonic())):
-                    lk.release()  # let other shutdowns through
+                w.join(deadline - time.monotonic())
 
     # -- internals --------------------------------------------------------
 
@@ -425,8 +410,7 @@ class ThreadCache:
             self._reaper.start()
 
     def _terminate_worker(self, w: Worker):
-        w._box = _TERMINATE_ORDER
-        w._park_lock.release()
+        w._park_lock.release()  # woken with no task: it exits
 
     def _dispatch_loop(self, worker: Worker, started):
         # become visible to threading before any user code can call
@@ -441,15 +425,12 @@ class ThreadCache:
         if threading._profile_hook:
             sys.setprofile(threading._profile_hook)
         started.release()
-        task = worker._box
-        worker._box = None
+        task = worker.task
         park = worker._park_lock
         store = self._store
         enabled = self._enabled
         _current.worker = worker
         while True:
-            task.worker_id = worker.worker_id
-            worker.task = task
             try:
                 # a hook's BaseException is the task's outcome, as the entry's
                 for hook in self._reset_hooks:
@@ -460,15 +441,12 @@ class ThreadCache:
                 arg = task._arg
                 task._value = task._entry() if arg is _NO_ARG \
                     else task._entry(arg)
-            except _LogicalExit as exc:
-                task._value = exc.status
-            except SystemExit as exc:
+            except SystemExit as exc:  # logical_exit(), sys.exit()
                 task._value = exc.code
             except BaseException as exc:
                 task._value = _Poisoned(exc)
             worker.task = None
-            task._fired = True  # the latch fires strictly before publication
-            task._latch.release()
+            task._latch.release()  # fires strictly before publication
             task = arg = None  # an idle worker holds no task, value or arg
             if not enabled:
                 break
@@ -479,10 +457,9 @@ class ThreadCache:
                 for w in evicted:
                     self._terminate_worker(w)
                 evicted = w = None  # a parked worker holds no other worker
-            park.acquire()  # until next task or terminate order; re-arms
-            task = worker._box
-            worker._box = None
-            if task is _TERMINATE_ORDER:
+            park.acquire()  # until the next task or a terminate; re-arms
+            task = worker.task
+            if task is None:  # woken by _terminate_worker
                 break
         with self._count_lock:
             self._culls += 1
@@ -508,12 +485,14 @@ def _after_fork_in_child():
     """Only the forking thread survives a fork. Each runtime forgets the
     workers that did not fork, counts them culled, takes a new store and
     starts a new reaper. A worker that forked holds the old, closed store,
-    so it exits after its task, as a forked ``threading.Thread`` does; no
-    reaper is started in its child, which would outlive it and keep the
-    child from ending."""
+    so it exits after its task, as a forked ``threading.Thread`` does. In
+    its child every runtime runs uncached, so no worker parks and no reaper
+    starts that would outlive the task and keep the child from ending."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
+        if from_worker:
+            rt._enabled = False
         rt._count_lock._at_fork_reinit()
         rt._store = rt._store.after_fork()
         for w in [w for w in rt._live.values() if w._ident != me]:
@@ -521,8 +500,7 @@ def _after_fork_in_child():
             w._exit_lock._at_fork_reinit()  # its join returns at once
         rt._culls = rt._creates - len(rt._live)
         rt._stop_event._at_fork_reinit()
-        if not from_worker:
-            rt._start_reaper()
+        rt._start_reaper()
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)

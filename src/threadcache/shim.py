@@ -17,9 +17,10 @@ The shim keeps no table of the threads it started: each ``CachedThread``
 holds its own runtime handle, and a raw ``start_new_thread`` start is
 detached, so nothing outlives a thread that is never joined.
 
-Thread exit needs no separate patch: a ``SystemExit`` raised inside a
-managed worker (what ``_thread.exit()`` raises) is absorbed by the dispatch
-loop as a logical exit, and terminates the thread for real everywhere else.
+Thread exit needs no separate patch: a ``SystemExit`` (what
+``_thread.exit()`` and ``threadcache.logical_exit()`` raise) ends the body
+as on a real thread. A ``CachedThread`` hands it to ``threading.excepthook``
+as ``Thread`` does, whose default ignores it; a raw start ignores it.
 
 While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
 in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
@@ -75,7 +76,7 @@ class CachedThread(_REAL_THREAD):
             return _REAL_THREAD.start(self)
         handle = rt.spawn(self._cache_body)
         self._cache_handle = handle
-        self._ident = handle.worker_ident
+        self._ident = handle.worker.ident
         self._started.set()
 
     def _cache_body(self):
@@ -88,9 +89,7 @@ class CachedThread(_REAL_THREAD):
             threading._active[ident] = self
         try:
             self.run()
-        except SystemExit:
-            pass
-        except BaseException:
+        except BaseException:  # SystemExit too, as in Thread._bootstrap_inner
             args = threading.ExceptHookArgs(
                 (*sys.exc_info(), self))
             try:
@@ -139,7 +138,7 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
 
     handle = rt.spawn(body)
     handle.detach()
-    return handle.worker_ident
+    return handle.worker.ident
 
 
 def install(runtime: Optional[ThreadCache] = None):

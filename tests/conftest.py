@@ -9,7 +9,7 @@ import pytest
 class FakeWorker:
     """Minimal stand-in with the attributes the store and policies touch."""
 
-    __slots__ = ("worker_id", "idle_since", "_park_lock", "_box")
+    __slots__ = ("worker_id", "idle_since", "_park_lock", "task")
 
     def __init__(self, worker_id):
         self.worker_id = worker_id

@@ -1,5 +1,6 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
+import functools
 import gc
 import os
 import random
@@ -17,9 +18,8 @@ import threadcache
 from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
                          TaskPoisoned, ThreadCache, UsageError, current_task,
                          logical_exit)
-from threadcache.runtime import _LogicalExit
 
-from conftest import net_new_objects, quiescent, wait_until
+from conftest import net_new_objects, one_cpu, quiescent, wait_until
 
 
 class TestSpawnJoin:
@@ -62,7 +62,7 @@ class TestSpawnJoin:
         assert wait_until(lambda: rt.stats().current_idle == 1)
         h2 = rt.spawn(lambda: 2)
         assert h2.join() == 2
-        assert h1.worker_id == h2.worker_id
+        assert h1.worker is h2.worker
 
     def test_join_from_other_thread(self, runtime):
         rt = runtime(enabled=True)
@@ -246,14 +246,12 @@ class TestLogicalExit:
 
 
 def probe_context(rt):
-    """current_task(), rt.current_worker() and logical_exit's outcome."""
+    """current_task(), rt.current_worker() and the code of the SystemExit
+    that logical_exit raises, on any thread."""
     try:
         logical_exit("probe")
     except SystemExit as exc:
-        exit_ = ("thread exit", exc.code)
-    except _LogicalExit as exc:
-        exit_ = ("logical exit", exc.status)
-    return current_task(), rt.current_worker(), exit_
+        return current_task(), rt.current_worker(), exc.code
 
 
 class TestTaskContext:
@@ -265,17 +263,16 @@ class TestTaskContext:
         t.start()
         t.join(5.0)
         assert not t.is_alive()
-        assert out == [(None, None, ("thread exit", "probe"))] * 2
+        assert out == [(None, None, "probe")] * 2
 
     def test_task_sees_its_handle_and_worker(self, runtime):
         rt = runtime(enabled=True)
         for _ in range(3):  # a cold worker, then the same worker recycled
             h = rt.spawn(probe_context, rt)
-            task, worker, exit_ = h.join()
+            task, worker, code = h.join()
             assert task is h
-            assert (worker.worker_id, worker.ident) == (h.worker_id,
-                                                         h.worker_ident)
-            assert exit_ == ("logical exit", "probe")
+            assert worker is h.worker
+            assert code == "probe"
             assert wait_until(lambda: rt.stats().current_idle == 1)
         assert rt.stats().physical_creates == 1
 
@@ -285,19 +282,32 @@ class TestTaskContext:
         rt.add_reset_hook(lambda w: seen.append((w, *probe_context(rt))))
         h = rt.spawn(lambda: None)
         h.join()
-        (w, task, worker, exit_), = seen
+        (w, task, worker, code), = seen
         assert task is h
         assert worker is w
-        assert exit_ == ("logical exit", "probe")
+        assert code == "probe"
 
     def test_worker_of_another_runtime(self, runtime):
         rt_a, rt_b = runtime(enabled=True), runtime(enabled=True)
         h = rt_a.spawn(lambda: (probe_context(rt_b), rt_a.current_worker()))
-        (task, worker_b, exit_), worker_a = h.join()
+        (task, worker_b, code), worker_a = h.join()
         assert task is h
         assert worker_b is None
-        assert worker_a.worker_id == h.worker_id
-        assert exit_ == ("logical exit", "probe")
+        assert worker_a is h.worker
+        assert code == "probe"
+
+    def test_handle_holds_its_worker_when_spawn_returns(self, runtime):
+        # on a hit under one CPU the worker has not run when spawn returns
+        rt = runtime(enabled=True)
+        with one_cpu():
+            for _ in range(2):  # a create, then a hit on the same worker
+                h = rt.spawn(rt.current_worker)
+                worker = h.worker
+                assert worker is not None
+                assert h.join() is worker
+                assert wait_until(lambda: rt.stats().current_idle == 1)
+        s = rt.stats()
+        assert (s.physical_creates, s.cache_hits) == (1, 1)
 
 
 def idle_workers(rt, n):
@@ -350,8 +360,8 @@ class TestThreadingRecord:
 
         for _ in range(3):  # a cold worker, then (cached) the same one
             h = rt.spawn(probe)
-            assert h.join() == (f"threadcache-worker-{h.worker_id}", True,
-                                True, True, True, True, True)
+            name = f"threadcache-worker-{h.worker.worker_id}"
+            assert h.join() == (name, True, True, True, True, True, True)
             assert wait_until(lambda: quiescent(rt))
         assert dummies == []
 
@@ -369,7 +379,7 @@ class TestThreadingRecord:
             handles.append(rt.spawn(go.wait, 5.0))
             assert threading.active_count() == base + n
             assert len(threading.enumerate()) == base + n
-        idents = {h.worker_ident for h in handles}
+        idents = {h.worker.ident for h in handles}
         assert idents <= {t.ident for t in threading.enumerate()}
         assert all(w in threading.enumerate() for w in rt._live.values())
         go.set()
@@ -499,6 +509,23 @@ class TestFork:
 
         assert reap_child(rt.spawn(fork).join()) == 0
 
+    def test_child_forked_from_a_task_that_spawns_exits(self, runtime):
+        # the child runs uncached, so the worker it spawns does not park
+        rt = runtime(enabled=True)
+
+        def fork():
+            pid = os.fork()
+            if pid == 0:
+                ok = False
+                try:
+                    ok = rt.spawn(lambda: 42).join() == 42
+                finally:
+                    if not ok:
+                        os._exit(1)
+            return pid
+
+        assert reap_child(rt.spawn(fork).join()) == 0
+
     def test_spawn_in_a_child_forked_with_idle_workers(self, runtime):
         rt = runtime(enabled=True)
         idle_workers(rt, 3)
@@ -573,7 +600,7 @@ class TestRecyclingInvariants:
         for _ in range(50):
             h = rt.spawn(lambda: None)
             h.join()
-            ids.add(h.worker_id)
+            ids.add(h.worker.worker_id)
         assert len(ids) <= 2
 
     def test_latch_fires_before_worker_is_reusable(self, runtime):
@@ -587,7 +614,7 @@ class TestRecyclingInvariants:
 
             h2 = rt.spawn(check)
             h2.join()
-            if h2.worker_id == h1.worker_id:
+            if h2.worker is h1.worker:
                 # reused worker implies the previous latch had fired
                 assert observed == [True]
             h1.join()
@@ -603,7 +630,7 @@ class TestRecyclingInvariants:
         assert victims[0].worker_id not in rt._live
         h = rt.spawn(lambda: None)
         h.join()
-        assert h.worker_id != victims[0].worker_id
+        assert h.worker is not victims[0]
         assert rt.stats().physical_creates == 2
 
     def test_conservation_under_concurrency(self, runtime):
@@ -638,7 +665,7 @@ class TestRecyclingInvariants:
         assert rt.spawn(lambda: 5).join() == 5
 
     @pytest.mark.parametrize("exc, outcome", [
-        (_LogicalExit("hook"), "hook"),
+        (functools.partial(logical_exit, "hook"), "hook"),  # the hook calls it
         (SystemExit("hook"), "hook"),
         (KeyboardInterrupt(), TaskPoisoned),
     ])
@@ -648,6 +675,8 @@ class TestRecyclingInvariants:
         rt = runtime(enabled=True)
 
         def hook(w):
+            if not isinstance(exc, BaseException):
+                exc()
             raise exc
 
         rt.add_reset_hook(hook)
@@ -752,7 +781,7 @@ class TestShutdown:
         handles = [rt.spawn(go.wait, 5.0) for _ in range(8)]
         idle = rt.spawn(lambda: None)
         idle.join()
-        idents = {h.worker_ident for h in handles + [idle]}
+        idents = {h.worker.ident for h in handles + [idle]}
         go.set()
         rt.shutdown(join=True, timeout=10.0)
         assert all(h.wait(5.0) for h in handles)
@@ -805,7 +834,7 @@ class TestShutdown:
             return list(rt._live)  # every other worker has exited
 
         h = rt.spawn(stop)
-        assert h.join() == [h.worker_id]
+        assert h.join() == [h.worker.worker_id]
         assert all(o.wait(5.0) for o in others)
         assert wait_until(lambda: rt._live == {})
         assert rt.stats().physical_culls == rt.stats().physical_creates

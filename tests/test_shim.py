@@ -15,7 +15,7 @@ import time
 import pytest
 
 import threadcache.shim as shim
-from threadcache import ThreadCache
+from threadcache import ThreadCache, logical_exit
 from threadcache.runtime import _reset_default_runtime
 
 from conftest import net_new_objects, wait_until
@@ -217,6 +217,27 @@ def corpus_thread_exit_stops_body():
     return ("exit", tuple(out))
 
 
+def corpus_logical_exit_ends_thread_quietly():
+    out, hooked = [], []
+
+    def entry():
+        out.append("before")
+        logical_exit(7)
+        out.append("after")  # never reached
+
+    # Thread hands the SystemExit to excepthook, whose default ignores it
+    old = threading.excepthook
+    threading.excepthook = lambda args: hooked.append(
+        (args.exc_type.__name__, getattr(args.exc_value, "code", None)))
+    try:
+        t = threading.Thread(target=entry)
+        t.start()
+        t.join()
+    finally:
+        threading.excepthook = old
+    return ("logical-exit", tuple(out), tuple(hooked))
+
+
 def corpus_current_thread_is_the_thread():
     box = {}
     t = threading.Thread(
@@ -286,6 +307,7 @@ CORPUS = [
     corpus_name_and_ident,
     corpus_detached_fire_and_forget,
     corpus_thread_exit_stops_body,
+    corpus_logical_exit_ends_thread_quietly,
     corpus_current_thread_is_the_thread,
     corpus_current_thread_name,
     corpus_enumerate_lists_running_thread,
