@@ -8,7 +8,8 @@ worker with the most residual cache residency and scheduling affinity.
 
 Fast-path rules, in order, for every recycle:
 
-1. run the task's entry and set the handle's value, which marks it done,
+1. run the task's entry, set the handle's value, which marks it done, and
+   drop the handle's entry and arg,
 2. fire the completion latch (so join returns while the worker lives on),
 3. only then publish the worker on the idle store.
 
@@ -131,7 +132,10 @@ class JoinHandle:
     The task is done once its value is set; the latch is a raw lock held
     until then. ``wait`` is non-consuming and supports multiple waiters,
     ``join`` consumes the handle exactly once. ``worker`` is the ``Worker``
-    that runs the task, set by ``spawn`` before it returns.
+    that runs the task, set by ``spawn`` before it returns. Once the task
+    has run, before the latch fires, the handle lets go of its entry and
+    arg, so a kept handle pins neither, and a ``CachedThread`` whose bound
+    method is the entry is in no cycle with its handle.
     """
 
     __slots__ = ("_entry", "_arg", "_latch", "_value", "_state",
@@ -413,6 +417,9 @@ class ThreadCache:
         w._park_lock.release()  # woken with no task: it exits
 
     def _dispatch_loop(self, worker: Worker, started):
+        """The worker's thread: run its task, clear the handle's entry and
+        arg, fire the latch, then park on the store until the next task;
+        exit when refused, disabled or woken with no task."""
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
@@ -445,9 +452,12 @@ class ThreadCache:
                 task._value = exc.code
             except BaseException as exc:
                 task._value = _Poisoned(exc)
+            # as Thread.run drops its target: a kept handle pins no entry or
+            # arg, and a CachedThread is in no cycle with its handle
+            task._entry = task._arg = arg = None
             worker.task = None
             task._latch.release()  # fires strictly before publication
-            task = arg = None  # an idle worker holds no task, value or arg
+            task = None  # an idle worker holds no task or value
             if not enabled:
                 break
             evicted = store.push(worker)

@@ -26,6 +26,14 @@ While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
 in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
 logging's ``%(threadName)s`` see it as they would a real thread.
 
+A ``CachedThread`` is built without ``Thread.__init__``: it sets the same
+fields but shares one never-set ``_started`` Event, and a cached start swaps
+in a shared set one, so it builds no Event, Condition or excepthook closure
+of its own. Only a fallback start gets a private Event and excepthook, as
+``Thread.start`` needs them. Its runtime handle lets go of the thread's body
+once it has run, so a finished thread is freed by reference counting, not
+left in a cycle for the garbage collector.
+
 Known, deliberate unsoundness, mirrored from the native runtime: worker
 threads are daemonic and thread-local storage is not reset when a physical
 thread recycles, so a logical thread can observe a predecessor's
@@ -42,7 +50,7 @@ import traceback
 import types
 from typing import Mapping, Optional
 
-from .runtime import ThreadCache, current_task, default_runtime
+from .runtime import ThreadCache, Worker, current_task, default_runtime
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -52,13 +60,19 @@ __all__ = ["install", "uninstall", "installed", "active_runtime",
 _REAL_THREAD = threading.Thread
 _REAL_START_NEW_THREAD = _thread.start_new_thread
 _install_lock = threading.Lock()
+_NOT_STARTED = threading.Event()  # shared by every unstarted CachedThread
 _installed = False
 _runtime: Optional[ThreadCache] = None
 
 
 def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
-    return (rt is not None and rt.enabled and not rt.closed
-            and threading.stack_size() == 0)
+    if rt is None or not rt.enabled or rt.closed:
+        return False
+    # stack_size() with no argument also sets the size to 0: put it back
+    size = threading.stack_size()
+    if size:
+        threading.stack_size(size)
+    return size == 0
 
 
 class CachedThread(_REAL_THREAD):
@@ -66,18 +80,49 @@ class CachedThread(_REAL_THREAD):
 
     _cache_handle = None  # the runtime handle once started on a worker
 
+    def __init__(self, group=None, target=None, name=None,
+                 args=(), kwargs=None, *, daemon=None):
+        # the fields Thread.__init__ sets (3.10-3.12), but no Event: only a
+        # fallback start, which needs one, builds it
+        assert group is None, "group argument must be None for now"
+        if name:
+            name = str(name)
+        else:
+            name = threading._newname("Thread-%d")
+            if target is not None:
+                try:
+                    name += f" ({target.__name__})"
+                except AttributeError:
+                    pass
+        self._target = target
+        self._name = name
+        self._args = args
+        self._kwargs = {} if kwargs is None else kwargs
+        self._daemonic = threading.current_thread().daemon \
+            if daemon is None else daemon
+        self._ident = None
+        self._native_id = None
+        self._tstate_lock = None
+        self._started = _NOT_STARTED
+        self._is_stopped = False
+        self._initialized = True
+        self._stderr = sys.stderr
+        threading._dangling.add(self)
+
     def start(self):
         rt = _runtime
         if not self._initialized:
             raise RuntimeError("thread.__init__() not called")
-        if self._cache_handle is not None or self._started.is_set():
+        if self._started.is_set():
             raise RuntimeError("threads can only be started once")
         if not _cache_eligible(rt):
+            self._started = threading.Event()
+            self._invoke_excepthook = threading._make_invoke_excepthook()
             return _REAL_THREAD.start(self)
         handle = rt.spawn(self._cache_body)
         self._cache_handle = handle
         self._ident = handle.worker.ident
-        self._started.set()
+        self._started = Worker._started  # shared and set
 
     def _cache_body(self):
         # while run() runs, threading sees this thread, not the worker:
@@ -99,6 +144,7 @@ class CachedThread(_REAL_THREAD):
         finally:
             with threading._active_limbo_lock:
                 threading._active[ident] = worker
+                self._is_stopped = True
 
     def join(self, timeout=None):
         handle = self._cache_handle

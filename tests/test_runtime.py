@@ -857,6 +857,21 @@ class TestNoRetention:
             assert [r() for r in refs] == [None, None]
         assert rt.stats().physical_creates == 1
 
+    def test_joined_handle_keeps_no_entry_or_arg(self, runtime):
+        # as Thread.run drops its target: a handle the caller still holds
+        # pins neither the callable nor its argument once the task ran
+        class Box:
+            pass
+
+        rt = runtime(enabled=True)
+        arg = Box()
+        ref = weakref.ref(arg)
+        h = rt.spawn(lambda a: None, arg)
+        del arg
+        h.join()
+        assert (h._entry, h._arg) == (None, None)
+        assert ref() is None
+
     def test_uncached_spawns_leave_nothing_behind(self, runtime):
         rt = runtime(enabled=False)
 

@@ -7,10 +7,13 @@ surviving a recycle) is pinned by its own test.
 """
 
 import _thread
+import gc
 import io
 import logging
+import re
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -291,6 +294,52 @@ def corpus_logging_thread_name():
     return ("logging", stream.getvalue())
 
 
+def _status(t):
+    """The status words of repr(t), without class, name or ident."""
+    words = repr(t).rsplit(", ", 1)[1].rstrip(")>").split()
+    return " ".join(w for w in words if not w.isdigit())
+
+
+def corpus_thread_object_states():
+    gate = threading.Event()
+    t = threading.Thread(target=gate.wait, args=(5.0,), name="states")
+    states = [_status(t)]
+    t.start()
+    states.append(_status(t))
+    try:
+        t.daemon = True
+        daemon_after_start = "allowed"
+    except RuntimeError:
+        daemon_after_start = "raises"
+    gate.set()
+    t.join()
+    states.append(_status(t))
+
+    class Named(threading.Thread):
+        def __init__(self):
+            super().__init__(name="sub", daemon=True)
+
+    sub = Named()
+    return ("states", tuple(states), daemon_after_start,
+            sub.name, sub.daemon, _status(sub))
+
+
+def corpus_finished_thread_freed_without_gc():
+    # a finished thread left in a reference cycle waits for the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = threading.Thread(target=lambda: None)
+        t.start()
+        t.join()
+        ref = weakref.ref(t)
+        del t
+        return ("freed-without-gc", ref() is None)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -312,6 +361,8 @@ CORPUS = [
     corpus_current_thread_name,
     corpus_enumerate_lists_running_thread,
     corpus_logging_thread_name,
+    corpus_thread_object_states,
+    corpus_finished_thread_freed_without_gc,
 ]
 
 
@@ -375,7 +426,16 @@ class TestShimCaching:
             wait_until(lambda: shimmed.stats().current_idle >= 1)
         assert "stale" in seen  # a later logical thread saw its predecessor's TLS
 
-    def test_custom_stack_size_falls_back(self, shimmed):
+    def test_custom_stack_size_falls_back(self, shimmed, monkeypatch):
+        # a fallback start runs Thread.start with its own Event and the
+        # excepthook that Thread.__init__ would have built
+        seen = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: seen.append(args.exc_type))
+
+        def boom():
+            raise ValueError("boom")
+
         threading.stack_size(512 * 1024)
         try:
             out = []
@@ -383,9 +443,38 @@ class TestShimCaching:
             t.start()
             t.join()
             assert out == [1]
+            bad = threading.Thread(target=boom)
+            bad.start()
+            bad.join(5.0)
+            assert not bad.is_alive()
+            assert seen == [ValueError]
             assert shimmed.stats().spawns_total == 0  # real creation path
+            assert threading.stack_size() == 512 * 1024  # still in effect
         finally:
             threading.stack_size(0)
+
+    def test_unstarted_fields_match_thread(self, shimmed):
+        # drift guard: CachedThread sets Thread.__init__'s fields itself,
+        # all but the excepthook closure, which only a fallback start needs
+        def f(a, k):
+            pass
+
+        real = shim._REAL_THREAD(target=f, args=(1,), kwargs={"k": 2})
+        cached = shim.CachedThread(target=f, args=(1,), kwargs={"k": 2})
+        want = dict(vars(real))
+        del want["_invoke_excepthook"]
+        got = dict(vars(cached))
+        assert got.keys() == want.keys()
+        assert re.fullmatch(r"Thread-\d+ \(f\)", got.pop("_name"))
+        want.pop("_name")
+        assert not got.pop("_started").is_set()
+        want.pop("_started")
+        assert got == want
+        cached.start()
+        cached.join(5.0)
+        assert cached._cache_handle is not None
+        assert cached._started.is_set()
+        assert not cached.is_alive()
 
     def test_disabled_runtime_is_passthrough(self):
         rt = ThreadCache(enabled=False)
