@@ -12,14 +12,16 @@ trees in alternating order from block to block:
 
 * ``churn``     cached spawn+join on a warm runtime, in each tree,
 * ``physical``  spawn+join with caching disabled, in each tree,
+* ``shim``      ``threading.Thread`` start+join through each tree's shim,
+  installed on that tree's churn runtime for its turn only,
 * ``threading`` ``threading.Thread`` start+join (the stdlib's cold path),
 * ``floor``     a raw two-lock ping-pong between two threads (the hand-off
   every cached spawn+join pays at least once).
 
 A block's number is its mean per operation. Both trees see the same host
-phase within a block, so the report rests on per-block ratios: for churn
-and physical, the median and quartiles of change ÷ base and the blocks
-the change won; for each tree, physical ÷ threading and churn ÷ floor.
+phase within a block, so the report rests on per-block ratios: for churn,
+physical and shim, the median and quartiles of change ÷ base and the
+blocks the change won; for each tree, physical ÷ threading and churn ÷ floor.
 Unlike ``bench_pairs.py`` this cannot see rss, thread counts or set-up
 time, which need a process per run. Every join is checked; a wrong value
 exits non-zero.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import _thread
 import argparse
+import importlib
 import importlib.util
 import json
 import os
@@ -40,6 +43,7 @@ from time import perf_counter_ns
 BLOCKS = 200  # timed blocks, after one dropped warm-up block
 CHURN_OPS = 2000  # cached spawn+joins (and ping-pongs) per block
 PHYSICAL_OPS = 300  # uncached spawn+joins (and Thread starts) per block
+SHIM_OPS = 1000  # shimmed Thread start+joins per block
 
 
 def load_tree(tree: str, name: str):
@@ -71,12 +75,16 @@ def spawn_join_block(rt, n: int) -> float:
 def thread_block(n: int) -> float:
     """Mean µs of n threading.Thread start+join round trips."""
     Thread = threading.Thread
+    ran = []
     t0 = perf_counter_ns()
     for i in range(n):
-        t = Thread(target=echo, args=(i,))
+        t = Thread(target=ran.append, args=(i,))
         t.start()
         t.join()
-    return (perf_counter_ns() - t0) / n / 1e3
+    dt = perf_counter_ns() - t0
+    if ran != list(range(n)):
+        raise SystemExit("a thread did not run before its join returned")
+    return dt / n / 1e3
 
 
 class PingPong:
@@ -131,6 +139,8 @@ def main(argv=None) -> int:
     sides = ("base", "change")
     tc = {s: load_tree(t, f"threadcache_{s}")
           for s, t in zip(sides, (a.base, a.change))}
+    shims = {s: importlib.import_module(f"threadcache_{s}.shim")
+             for s in sides}
     rts = {(s, wl): tc[s].ThreadCache(enabled=(wl == "churn"),
                                       retention=tc[s].RetentionConfig())
            for s in sides for wl in ("churn", "physical")}
@@ -143,6 +153,11 @@ def main(argv=None) -> int:
             for s in (sides if b % 2 else sides[::-1]):
                 for wl in ("churn", "physical"):
                     row[f"{s}.{wl}"] = spawn_join_block(rts[s, wl], ops[wl])
+                shims[s].install(rts[s, "churn"])
+                try:
+                    row[f"{s}.shim"] = thread_block(SHIM_OPS)
+                finally:
+                    shims[s].uninstall()
             row["threading"] = thread_block(PHYSICAL_OPS)
             row["floor"] = pp.block(CHURN_OPS)
             if b:
@@ -153,7 +168,7 @@ def main(argv=None) -> int:
             rt.shutdown()
 
     out = {}
-    for wl in ("churn", "physical"):
+    for wl in ("churn", "physical", "shim"):
         ratios = [r[f"change.{wl}"] / r[f"base.{wl}"] for r in rows]
         out[f"{wl}.change_over_base"] = {
             **summary(ratios), "wins": sum(x < 1 for x in ratios),
@@ -164,7 +179,8 @@ def main(argv=None) -> int:
         out[f"{s}.churn_over_floor"] = summary(
             [r[f"{s}.churn"] / r["floor"] for r in rows])
     for key in ("base.churn", "change.churn", "base.physical",
-                "change.physical", "threading", "floor"):
+                "change.physical", "base.shim", "change.shim", "threading",
+                "floor"):
         out[f"{key}_us"] = summary([r[key] for r in rows])
 
     print(f"{len(rows)} blocks on CPU {cpu}; medians [q1, q3]")
@@ -177,7 +193,8 @@ def main(argv=None) -> int:
         with open(a.out, "w") as f:
             json.dump({"trees": {"base": a.base, "change": a.change},
                        "blocks": BLOCKS, "churn_ops": CHURN_OPS,
-                       "physical_ops": PHYSICAL_OPS, "cpu": cpu,
+                       "physical_ops": PHYSICAL_OPS, "shim_ops": SHIM_OPS,
+                       "cpu": cpu,
                        "python": sys.version.split()[0], "summary": out,
                        "rows": rows}, f, indent=1)
     return 0

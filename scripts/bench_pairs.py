@@ -129,8 +129,7 @@ def main(argv=None) -> int:
     metrics = bench["per_layer"] if a.trace else \
         bench["end_to_end"] + [{"name": "error_rate", "unit": "ratio",
                                 "better": "lower"}]
-    trees = {"base": os.path.abspath(a.base),
-             "change": os.path.abspath(a.change)}
+    trees = {"base": a.base, "change": a.change}  # recorded as given
 
     runs, summary, bad = {}, {}, False
     for wl in workloads:

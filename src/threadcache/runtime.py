@@ -28,7 +28,9 @@ Workers run on raw ``_thread`` threads: starting one costs no
 ``Thread`` that ``threading`` sees: it puts itself in ``threading._active``
 before any task runs, so ``current_thread()`` in a task is the worker, and
 ``enumerate()`` and ``active_count()`` see idle and running workers as they
-would ``threading.Thread``s; it removes itself on exit.
+would ``threading.Thread``s; it removes itself on exit and then releases
+its stop lock, which is its ``_tstate_lock``, so ``Thread.join``,
+``is_alive`` and ``repr`` read it as they read a ``Thread``'s.
 
 Set ``THREADCACHE=0`` to disable caching entirely: every spawn is then a
 physical create and every exit a physical exit.
@@ -208,25 +210,26 @@ class JoinHandle:
 
 class Worker(_OSThread):
     """One physical thread, and its record in ``threading._active``: the
-    park channel, exit latch and the runtime and task it serves. ``task``
+    park channel, stop lock and the runtime and task it serves. ``task``
     is the hand-off: the spawner writes it before waking the worker, and
     it is None outside a dispatch.
 
     Like ``threading._DummyThread`` it enters ``threading._active`` itself,
-    but it is built without ``Thread.__init__``: no Event and no tstate lock
-    of its own. It shares one set ``_started`` Event, so ``start()`` and
-    setting ``daemon`` raise as on a started thread, and ``join`` waits on
-    the exit lock. The worker registers itself before its first task and
-    removes itself as it exits.
+    but it is built without ``Thread.__init__``: no Event of its own. It
+    shares one set ``_started`` Event, so ``start()`` and setting ``daemon``
+    raise as on a started thread. Its ``_tstate_lock`` is allocated held and
+    released by the worker as it exits, so ``Thread.join``, ``is_alive``,
+    ``repr`` and ``threading._after_fork`` treat it as a ``Thread``'s. The
+    worker registers itself before its first task and removes itself as it
+    exits.
     """
 
     __slots__ = ("worker_id", "idle_since", "rt", "task",
-                 "_park_lock", "_exit_lock")
+                 "_park_lock", "_tstate_lock")
 
     _initialized = True
     _daemonic = True
     _is_stopped = False
-    _tstate_lock = None
     _ident = _native_id = None  # set by the thread itself once it runs
     _started = threading.Event()
     _started.set()
@@ -242,17 +245,7 @@ class Worker(_OSThread):
         self._park_lock = lk
         lk = _thread.allocate_lock()
         lk.acquire()
-        self._exit_lock = lk  # released once the worker has exited
-
-    def is_alive(self):
-        return not self._is_stopped
-
-    def join(self, timeout=None):
-        if self._ident == _thread.get_ident() and not self._is_stopped:
-            raise RuntimeError("cannot join current thread")
-        lk = self._exit_lock
-        if lk.acquire(True, -1 if timeout is None else max(timeout, 0)):
-            lk.release()  # let other joiners through
+        self._tstate_lock = lk  # released once the worker has exited
 
 
 class ThreadCache:
@@ -335,7 +328,7 @@ class ThreadCache:
                 del self._live[wid]
                 self._creates -= 1
                 self._failed += 1
-            w._exit_lock.release()  # a shutdown waiting for it goes on
+            w._tstate_lock.release()  # a shutdown waiting for it goes on
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
         # until the worker is visible to threading, as Thread.start waits
         started.acquire()
@@ -476,8 +469,7 @@ class ThreadCache:
             del self._live[worker.worker_id]
         with threading._active_limbo_lock:
             del threading._active[ident]
-            worker._is_stopped = True
-        worker._exit_lock.release()
+        worker._tstate_lock.release()
 
     def _reaper_loop(self):
         cfg = self._retention
@@ -493,11 +485,14 @@ _runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()
 
 def _after_fork_in_child():
     """Only the forking thread survives a fork. Each runtime forgets the
-    workers that did not fork, counts them culled, takes a new store and
-    starts a new reaper. A worker that forked holds the old, closed store,
-    so it exits after its task, as a forked ``threading.Thread`` does. In
-    its child every runtime runs uncached, so no worker parks and no reaper
-    starts that would outlive the task and keep the child from ending."""
+    workers that did not fork, stops those that ``threading._after_fork``
+    did not (not yet started, or running a shimmed thread, which holds
+    their entry in ``threading._active``), counts them culled, takes a new
+    store and starts a new reaper. A worker that forked holds the old,
+    closed store, so it exits after its task, as a forked
+    ``threading.Thread`` does. In its child every runtime runs uncached, so
+    no worker parks and no reaper starts that would outlive the task and
+    keep the child from ending."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
@@ -507,7 +502,7 @@ def _after_fork_in_child():
         rt._store = rt._store.after_fork()
         for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]
-            w._exit_lock._at_fork_reinit()  # its join returns at once
+            w._reset_internal_locks(False)  # as threading._after_fork does
         rt._culls = rt._creates - len(rt._live)
         rt._stop_event._at_fork_reinit()
         rt._start_reaper()

@@ -24,7 +24,13 @@ as ``Thread`` does, whose default ignores it; a raw start ignores it.
 
 While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
 in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
-logging's ``%(threadName)s`` see it as they would a real thread.
+logging's ``%(threadName)s`` see it as they would a real thread. A cached
+start makes the task's completion latch its stop lock, ``_tstate_lock``, so
+``is_alive``, ``repr``, ``threading``'s at-fork hook and, for a non-daemon
+thread, the wait at interpreter exit are ``Thread``'s own; only ``start``
+and a fast ``join`` on the handle are the shim's. ``run()``, like a raw
+start's function, runs in a fresh ``contextvars`` context, as on a new
+thread.
 
 A ``CachedThread`` is built without ``Thread.__init__``: it sets the same
 fields but shares one never-set ``_started`` Event, and a cached start swaps
@@ -34,16 +40,17 @@ of its own. Only a fallback start gets a private Event and excepthook, as
 once it has run, so a finished thread is freed by reference counting, not
 left in a cycle for the garbage collector.
 
-Known, deliberate unsoundness, mirrored from the native runtime: worker
-threads are daemonic and thread-local storage is not reset when a physical
-thread recycles, so a logical thread can observe a predecessor's
-``threading.local`` values, and a still-running logical thread does not
-keep the process alive at interpreter shutdown.
+Known, deliberate unsoundness, mirrored from the native runtime:
+thread-local storage is not reset when a physical thread recycles, so a
+logical thread can observe a predecessor's ``threading.local`` values, and
+a raw ``start_new_thread`` start, like a ``_thread`` thread, does not keep
+the process alive at interpreter shutdown.
 """
 
 from __future__ import annotations
 
 import _thread
+import contextvars
 import sys
 import threading
 import traceback
@@ -122,7 +129,14 @@ class CachedThread(_REAL_THREAD):
         handle = rt.spawn(self._cache_body)
         self._cache_handle = handle
         self._ident = handle.worker.ident
+        # the stop lock first: is_alive asserts that a started thread
+        # without one has stopped
+        self._tstate_lock = lk = handle._latch
         self._started = Worker._started  # shared and set
+        if not self._daemonic:  # as Thread._set_tstate_lock
+            with threading._shutdown_locks_lock:
+                threading._maintain_shutdown_locks()
+                threading._shutdown_locks.add(lk)
 
     def _cache_body(self):
         # while run() runs, threading sees this thread, not the worker:
@@ -131,9 +145,12 @@ class CachedThread(_REAL_THREAD):
         self._native_id = _thread.get_native_id()
         with threading._active_limbo_lock:  # rebound by threading._after_fork
             worker = threading._active[ident]
+            # as start() does, for a miss whose body runs before it returns
+            self._tstate_lock = worker.task._latch
+            self._started = Worker._started
             threading._active[ident] = self
         try:
-            self.run()
+            contextvars.Context().run(self.run)  # as a new thread starts
         except BaseException:  # SystemExit too, as in Thread._bootstrap_inner
             args = threading.ExceptHookArgs(
                 (*sys.exc_info(), self))
@@ -144,7 +161,6 @@ class CachedThread(_REAL_THREAD):
         finally:
             with threading._active_limbo_lock:
                 threading._active[ident] = worker
-                self._is_stopped = True
 
     def join(self, timeout=None):
         handle = self._cache_handle
@@ -152,13 +168,8 @@ class CachedThread(_REAL_THREAD):
             return _REAL_THREAD.join(self, timeout)
         if current_task() is handle:
             raise RuntimeError("cannot join current thread")
-        handle.wait(timeout)
-
-    def is_alive(self):
-        handle = self._cache_handle
-        if handle is None:
-            return _REAL_THREAD.is_alive(self)
-        return not handle.finished
+        if not self._is_stopped:  # in a forked child its latch never fires
+            handle.wait(timeout)
 
 
 def _shim_start_new_thread(function, args=(), kwargs=None):
@@ -174,7 +185,7 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
 
     def body():
         try:
-            function(*args, **kwargs)
+            contextvars.Context().run(function, *args, **kwargs)
         except SystemExit:
             pass
         except BaseException:

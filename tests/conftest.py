@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import os
+import signal
 import time
 
 import pytest
@@ -51,6 +52,20 @@ def wait_until(pred, timeout=2.0, interval=0.0005):
             return True
         time.sleep(interval)
     return pred()
+
+
+def reap_child(pid, timeout=5.0):
+    """The child's exit code, or None when it outlived timeout (then it is
+    killed, so no test leaves a child behind)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
 
 
 def quiescent(rt):

@@ -4,7 +4,6 @@ import functools
 import gc
 import os
 import random
-import signal
 import sys
 import threading
 import time
@@ -19,7 +18,8 @@ from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
                          TaskPoisoned, ThreadCache, UsageError, current_task,
                          logical_exit)
 
-from conftest import net_new_objects, one_cpu, quiescent, wait_until
+from conftest import (net_new_objects, one_cpu, quiescent, reap_child,
+                      wait_until)
 
 
 class TestSpawnJoin:
@@ -471,20 +471,6 @@ class TestThreadingRecord:
         rt = runtime(enabled=True)
         idle_workers(rt, 3)
         assert forked_child_exit_code() == 0
-
-
-def reap_child(pid, timeout=5.0):
-    """The child's exit code, or None when it outlived timeout (then it is
-    killed, so no test leaves a child behind)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.01)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    return None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

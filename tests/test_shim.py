@@ -7,10 +7,15 @@ surviving a recycle) is pinned by its own test.
 """
 
 import _thread
+import contextvars
+import decimal
 import gc
 import io
 import logging
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -21,7 +26,7 @@ import threadcache.shim as shim
 from threadcache import ThreadCache, logical_exit
 from threadcache.runtime import _reset_default_runtime
 
-from conftest import net_new_objects, wait_until
+from conftest import net_new_objects, reap_child, wait_until
 
 
 @pytest.fixture
@@ -340,6 +345,44 @@ def corpus_finished_thread_freed_without_gc():
             gc.enable()
 
 
+def corpus_running_thread_reads_itself_alive():
+    # the first start on a fresh runtime is a miss, whose body can run
+    # before start() returns; the later ones are hits
+    seen = []
+
+    def entry():
+        me = threading.current_thread()
+        seen.append((me.is_alive(), _status(me)))
+
+    for _ in range(3):
+        t = threading.Thread(target=entry)
+        t.start()
+        t.join()
+        time.sleep(0.01)  # lets a cached worker park before the next start
+    return ("alive-inside-run", tuple(seen))
+
+
+_CORPUS_VAR = contextvars.ContextVar("corpus_var", default="unset")
+
+
+def corpus_contextvars_start_fresh():
+    # a new thread starts in an empty context: nothing a predecessor set on
+    # the same worker is visible, the decimal context included
+    seen = []
+
+    def entry():
+        seen.append((_CORPUS_VAR.get(), decimal.getcontext().prec))
+        _CORPUS_VAR.set("leaked")
+        decimal.getcontext().prec = 5
+
+    for _ in range(3):
+        t = threading.Thread(target=entry)
+        t.start()
+        t.join()
+        time.sleep(0.01)  # lets a cached worker park before the next start
+    return ("contextvars", tuple(seen))
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -363,6 +406,8 @@ CORPUS = [
     corpus_logging_thread_name,
     corpus_thread_object_states,
     corpus_finished_thread_freed_without_gc,
+    corpus_running_thread_reads_itself_alive,
+    corpus_contextvars_start_fresh,
 ]
 
 
@@ -381,6 +426,33 @@ def test_conformance_with_and_without_shim(entry):
 
 def test_corpus_covers_required_surface():
     assert len(CORPUS) >= 10
+
+
+_EXIT_SCRIPT = """
+import threading, time
+import threadcache.shim as shim
+from threadcache import ThreadCache
+
+def late():
+    time.sleep(0.3)
+    print("non-daemon finished")
+
+shim.install(ThreadCache(enabled=True))
+threading.Thread(target=time.sleep, args=(30,), daemon=True).start()
+threading.Thread(target=late).start()
+"""
+
+
+def test_interpreter_exit_waits_for_non_daemon_threads_only():
+    src = os.path.dirname(os.path.dirname(shim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "non-daemon finished\n"
+    assert time.monotonic() - t0 < 10.0  # the daemon's sleep did not hold it
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +591,40 @@ class TestShimCaching:
         grown = net_new_objects(start_unjoined, 2000, all_parked)
         assert grown < 100, f"{grown} objects retained by 2000 threads"
         assert len(shim.handle_map()) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_from_a_shimmed_thread(self, shimmed):
+        gate = threading.Event()
+        other = threading.Thread(target=gate.wait, args=(5.0,))
+        other.start()
+        worker = other._cache_handle.worker
+        box = {}
+
+        def fork():
+            pid = os.fork()
+            if pid == 0:  # the other thread and its worker did not fork
+                code = 1
+                try:
+                    me = threading.current_thread()
+                    t0 = time.monotonic()
+                    other.join()
+                    worker.join()
+                    if (time.monotonic() - t0 < 1.0
+                            and threading.enumerate() == [me]
+                            and me.is_alive() and _status(me) == "started"
+                            and not other.is_alive()
+                            and not worker.is_alive()):
+                        code = 0
+                finally:
+                    os._exit(code)
+            box["pid"] = pid
+
+        t = threading.Thread(target=fork)
+        t.start()
+        t.join()
+        gate.set()
+        other.join()
+        assert reap_child(box["pid"]) == 0
 
     def test_install_idempotent_and_uninstall_restores(self):
         real = threading.Thread
