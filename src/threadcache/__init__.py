@@ -2,9 +2,8 @@
 
 Logically terminated threads are parked on a LIFO idle store and recycled
 to serve later spawns, avoiding the kernel cost of creating and destroying
-physical threads. Includes pluggable retention policies, a drop-in
-``threading.Thread`` interposition shim, and the acceptance gate's spawn and
-fork-join measurements.
+physical threads. Includes pluggable retention policies and a drop-in
+``threading.Thread`` interposition shim.
 """
 
 from .idle_store import IdleStore

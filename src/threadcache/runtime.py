@@ -492,7 +492,9 @@ def _after_fork_in_child():
     closed store, so it exits after its task, as a forked
     ``threading.Thread`` does. In its child every runtime runs uncached, so
     no worker parks and no reaper starts that would outlive the task and
-    keep the child from ending."""
+    keep the child from ending. A task that a forgotten worker was running
+    never finishes in the child, so its handle completes there as poisoned
+    and a wait or join on it returns at once."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
@@ -503,6 +505,12 @@ def _after_fork_in_child():
         for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]
             w._reset_internal_locks(False)  # as threading._after_fork does
+            task = w.task
+            if task is not None:
+                if task._value is _PENDING:
+                    task._value = _Poisoned(RuntimeError(
+                        "the task's thread did not survive fork()"))
+                task._latch._at_fork_reinit()  # released: the task is done
         rt._culls = rt._creates - len(rt._live)
         rt._stop_event._at_fork_reinit()
         rt._start_reaper()

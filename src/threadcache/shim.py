@@ -11,7 +11,8 @@ is not cache-eligible:
 * the active runtime is disabled (``THREADCACHE=0``), which makes the shim
   byte-for-byte passthrough, or
 * the active runtime has been shut down, so unmodified code still starts
-  threads after ``ThreadCache.shutdown()``.
+  threads after ``ThreadCache.shutdown()``, also when the shutdown comes
+  between this check and the spawn, which then refuses the start.
 
 The shim keeps no table of the threads it started: each ``CachedThread``
 holds its own runtime handle, and a raw ``start_new_thread`` start is
@@ -57,7 +58,8 @@ import traceback
 import types
 from typing import Mapping, Optional
 
-from .runtime import ThreadCache, Worker, current_task, default_runtime
+from .runtime import (ThreadCache, UsageError, Worker, current_task,
+                      default_runtime)
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -122,11 +124,16 @@ class CachedThread(_REAL_THREAD):
             raise RuntimeError("thread.__init__() not called")
         if self._started.is_set():
             raise RuntimeError("threads can only be started once")
-        if not _cache_eligible(rt):
+        handle = None
+        if _cache_eligible(rt):
+            try:
+                handle = rt.spawn(self._cache_body)
+            except UsageError:  # shut down since the check
+                pass
+        if handle is None:
             self._started = threading.Event()
             self._invoke_excepthook = threading._make_invoke_excepthook()
             return _REAL_THREAD.start(self)
-        handle = rt.spawn(self._cache_body)
         self._cache_handle = handle
         self._ident = handle.worker.ident
         # the stop lock first: is_alive asserts that a started thread
@@ -168,8 +175,7 @@ class CachedThread(_REAL_THREAD):
             return _REAL_THREAD.join(self, timeout)
         if current_task() is handle:
             raise RuntimeError("cannot join current thread")
-        if not self._is_stopped:  # in a forked child its latch never fires
-            handle.wait(timeout)
+        handle.wait(timeout)
 
 
 def _shim_start_new_thread(function, args=(), kwargs=None):
@@ -193,7 +199,10 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
                   file=sys.stderr)
             traceback.print_exc()
 
-    handle = rt.spawn(body)
+    try:
+        handle = rt.spawn(body)
+    except UsageError:  # shut down since the check
+        return _REAL_START_NEW_THREAD(function, args, kwargs)
     handle.detach()
     return handle.worker.ident
 

@@ -7,13 +7,14 @@ THREADCACHE_ACCEPT_FULL=1 for the full-scale 7x10s measurement.
 
 import os
 import random
+import statistics
 
 import pytest
 
 from threadcache import ThreadCache, logical_exit
-from threadcache.bench import forkjoin_ms, median_of, spawn_rate
 
 from conftest import one_cpu
+from test_bench import forkjoin_ms, paired, spawn_rate
 from test_idle_store import run_stress
 from test_retention import random_config, random_script, run_script_pair
 from test_runtime import run_idle_bound_schedule
@@ -48,33 +49,26 @@ def report(criterion, ok, detail):
 
 
 def spawn_ratio(creators):
-    """Median over RUNS pairs of the cached/default spawn-rate ratio.
-
-    The two modes alternate run by run, so both runs of a pair see the same
-    phase of the host and a slow stretch cannot land on one mode only. All
-    threads share one CPU, so cross-CPU wake-ups do not set the ratio.
-    """
-    rates = {"default": [], "cached": []}
+    """Median over RUNS pairs of the cached/default spawn-rate ratio, and
+    each mode's median rate. All threads share one CPU, so cross-CPU
+    wake-ups do not set the ratio."""
     with one_cpu():
-        for _ in range(RUNS):
-            for mode in rates:
-                rates[mode].append(
-                    spawn_rate(creators, DURATION, mode == "cached")[0])
-    ratio = median_of([c / d for c, d in zip(rates["cached"],
-                                             rates["default"])])
-    return ratio, {mode: median_of(v) for mode, v in rates.items()}
+        default, cached = paired(
+            lambda c: spawn_rate(creators, DURATION, c)[0], RUNS)
+    ratio = statistics.median(c / d for c, d in zip(cached, default))
+    return ratio, statistics.median(cached), statistics.median(default)
 
 
 def test_criterion_1_speedup_single_creator():
-    ratio, med = spawn_ratio(creators=1)
+    ratio, cached, default = spawn_ratio(creators=1)
     report(1, ratio >= 2.0,
            f"1-creator cached/default ratio {ratio:.2f} (median of {RUNS} "
-           f"pairs; cached {med['cached']:.0f}/s, default "
-           f"{med['default']:.0f}/s), threshold 2.0")
+           f"pairs; cached {cached:.0f}/s, default {default:.0f}/s), "
+           f"threshold 2.0")
 
 
 def test_criterion_2_speedup_cpu_count_creators():
-    ratio, _ = spawn_ratio(creators=CPUS)
+    ratio, _, _ = spawn_ratio(creators=CPUS)
     report(2, ratio >= 3.0,
            f"{CPUS}-creator cached/default ratio {ratio:.2f} (median of "
            f"{RUNS} pairs), threshold 3.0")
@@ -87,17 +81,14 @@ def test_criterion_3_sweep_dominance():
         sweep.append(k)
         k *= 2
     sweep.append(CPUS)
-    medians = {}
-    for creators in sweep:
-        for mode in ("default", "cached"):
-            vals = [spawn_rate(creators, max(0.5, DURATION / 2),
-                               mode == "cached")[0] for _ in range(RUNS)]
-            medians[(mode, creators)] = median_of(vals)
-    losses = [k for k in sweep
-              if medians[("cached", k)] < medians[("default", k)]]
-    points = "; ".join(f"K={k} cached {medians[('cached', k)]:.0f}/s "
-                       f"default {medians[('default', k)]:.0f}/s"
-                       for k in sweep)
+    medians = {}  # K -> (cached, default) median rates
+    for k in sweep:
+        default, cached = paired(
+            lambda c: spawn_rate(k, max(0.5, DURATION / 2), c)[0], RUNS)
+        medians[k] = statistics.median(cached), statistics.median(default)
+    losses = [k for k in sweep if medians[k][0] < medians[k][1]]
+    points = "; ".join(f"K={k} cached {medians[k][0]:.0f}/s "
+                       f"default {medians[k][1]:.0f}/s" for k in sweep)
     report(3, not losses,
            f"sweep {sweep}: cached median >= default median at every point"
            + (f" EXCEPT {losses}" if losses else "") + f" ({points})")

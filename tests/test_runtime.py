@@ -512,6 +512,29 @@ class TestFork:
 
         assert reap_child(rt.spawn(fork).join()) == 0
 
+    def test_handle_of_a_task_stranded_by_fork_completes_poisoned(
+            self, runtime):
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        h = rt.spawn(go.wait, 5.0)
+        pid = os.fork()
+        if pid == 0:  # h's worker did not fork: its task never finishes
+            code = 1
+            try:
+                t0 = time.monotonic()
+                if (h.wait(1.0) and h.finished
+                        and time.monotonic() - t0 < 0.5):
+                    try:
+                        h.join()
+                    except TaskPoisoned as exc:
+                        if "fork()" in str(exc.__cause__):
+                            code = 0
+            finally:
+                os._exit(code)
+        go.set()
+        assert h.join() is True
+        assert reap_child(pid) == 0
+
     def test_spawn_in_a_child_forked_with_idle_workers(self, runtime):
         rt = runtime(enabled=True)
         idle_workers(rt, 3)

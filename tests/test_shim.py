@@ -23,7 +23,7 @@ import weakref
 import pytest
 
 import threadcache.shim as shim
-from threadcache import ThreadCache, logical_exit
+from threadcache import ThreadCache, current_task, logical_exit
 from threadcache.runtime import _reset_default_runtime
 
 from conftest import net_new_objects, reap_child, wait_until
@@ -575,6 +575,45 @@ class TestShimCaching:
         assert out == [1]
         assert t._cache_handle is None
         assert shimmed.stats().spawns_total == 0
+
+    @pytest.fixture
+    def shut_down_after_check(self, shimmed, monkeypatch):
+        """The runtime is shut down between the shim's eligibility check
+        and its spawn, which then raises UsageError."""
+        check = shim._cache_eligible
+
+        def check_then_shut_down(rt):
+            eligible = check(rt)
+            shimmed.shutdown(join=False)
+            return eligible
+
+        monkeypatch.setattr(shim, "_cache_eligible", check_then_shut_down)
+        return shimmed
+
+    def test_thread_start_racing_shutdown_falls_back(
+            self, shut_down_after_check):
+        seen = []
+        t = threading.Thread(target=lambda: seen.append(current_task()))
+        t.start()
+        t.join(5.0)
+        assert not t.is_alive()
+        assert seen == [None]  # ran on a real thread, not a worker
+        assert t._cache_handle is None
+        assert shut_down_after_check.stats().spawns_total == 0
+
+    def test_start_new_thread_racing_shutdown_falls_back(
+            self, shut_down_after_check):
+        seen = []
+        done = threading.Event()
+
+        def f():
+            seen.append(current_task())
+            done.set()
+
+        _thread.start_new_thread(f, ())
+        assert done.wait(5.0)
+        assert seen == [None]  # ran on a real thread, not a worker
+        assert shut_down_after_check.stats().spawns_total == 0
 
     def test_never_joined_threads_leave_nothing_behind(self, shimmed):
         done = threading.Event()
