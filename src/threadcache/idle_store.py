@@ -6,7 +6,8 @@ culls slice from the front. The lock also guards the exact peak depth and
 the count of successful pops (the runtime's cache hits). The idle integral
 is summed over the stamps when it is read, by the reaper only, so the hit
 path keeps no running total. ``close`` drains the store and refuses every
-later push.
+later push: a closed store is how a runtime keeps nothing, whether it was
+shut down, built uncached, clamped to 0 or forked from a task.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -36,14 +37,14 @@ class IdleStore:
         self._items: List = []
         self._peak = 0
         self._pops = 0
-        self._closed = False
+        self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
 
     # push and pop run on every cache hit, so they call acquire/release
     # directly: about half the cost of a ``with`` block on CPython 3.11
     def push(self, worker, now: Optional[int] = None) -> Optional[Sequence]:
         """Stamp and publish worker; returns the workers evicted to make room
-        for it, oldest first, or None when it is refused (and not stored):
-        the store is closed, or the retention clamp refuses it."""
+        for it, oldest first, or None when the store is closed and refuses
+        it."""
         lock = self._lock
         lock.acquire()
         try:
@@ -52,10 +53,8 @@ class IdleStore:
             items = self._items
             evicted = ()  # one shared constant: no allocation
             if len(items) >= self._clamp:
-                k = _retention.admit(len(items), self._retention)
-                if k is None:
-                    return None
-                evicted = self._take_front(k)
+                evicted = self._take_front(
+                    _retention.admit(len(items), self._retention))
             if now is None:
                 now = time.monotonic_ns()
             worker.idle_since = now
@@ -108,14 +107,13 @@ class IdleStore:
             self._closed = True
             return self._take_front(len(self._items))
 
-    def after_fork(self) -> "IdleStore":
-        """In a forked child: close this store, whose workers did not fork,
-        and return an empty one that carries on its pop count and peak."""
+    def after_fork(self, close: bool):
+        """In a forked child: forget the stored workers, which did not fork,
+        keeping the pop count and peak, and close the store if ``close``."""
         self._lock._at_fork_reinit()
-        self._closed = True
-        new = IdleStore(self._retention)
-        new._pops, new._peak = self._pops, self._peak
-        return new
+        self._items.clear()
+        if close:
+            self._closed = True
 
     def integral(self, now: Optional[int] = None) -> float:
         """Sum of idle ages of the stored workers, in thread-seconds; one
@@ -129,6 +127,10 @@ class IdleStore:
         """Stored workers newest-first, from one consistent pass."""
         with self._lock:
             return self._items[::-1]
+
+    @property
+    def closed(self) -> bool:  # refuses every push
+        return self._closed
 
     @property
     def count(self) -> int:

@@ -3,11 +3,10 @@
 Four policies decide which idle workers are kept:
 
 * ``UNBOUNDED``  — cache every logically terminated worker.
-* ``CLAMP``      — cap the idle depth at ``clamp_size``; by default the
-  incoming (warmest) worker is admitted and the coldest is evicted, an
-  alternative refused-admission mode is available via ``keep_incoming``.
-  The store applies the clamp inside its locked push, so it is exact under
-  concurrent exits.
+* ``CLAMP``      — cap the idle depth at ``clamp_size``: the incoming
+  (warmest) worker is admitted and the coldest is evicted. The store
+  applies the clamp inside its locked push, so it is exact under
+  concurrent exits; a store clamped to 0 keeps nothing and is born closed.
 * ``AGE_OUT``    — admit everything; a periodic reap culls workers idle
   longer than ``max_idle_age`` seconds.
 * ``INTEGRAL_BUDGET`` — admit everything; reap culls oldest-first until the
@@ -42,7 +41,6 @@ class RetentionConfig:
     max_idle_age: float = 30.0       # seconds, AGE_OUT only
     budget: float = 60.0             # thread-seconds, INTEGRAL_BUDGET only
     reap_period: float = 1.0         # seconds, maintenance cadence
-    keep_incoming: bool = True       # CLAMP: evict oldest vs refuse incoming
 
     def __post_init__(self):
         if self.clamp_size < 0:
@@ -81,23 +79,14 @@ class RetentionConfig:
         return cls(**kw)
 
 
-def admit(depth: int, cfg: RetentionConfig) -> Optional[int]:
-    """How many of the oldest idle workers to evict so that one more worker
-    joins a store holding ``depth``; None refuses it.
-
-    Only CLAMP evicts or refuses; AGE_OUT and INTEGRAL_BUDGET cull in reap.
-    CLAMP evicts to make room for the incoming worker (it carries the most
-    residual cache/scheduling affinity), unless keep_incoming is off or
-    clamp_size is 0, in which case a full store refuses it.
-    """
+def admit(depth: int, cfg: RetentionConfig) -> int:
+    """How many of the oldest idle workers CLAMP evicts so that one more,
+    the warmest, joins a store holding ``depth``. AGE_OUT and
+    INTEGRAL_BUDGET cull in reap; a clamp of 0 never asks: its store is
+    closed."""
     if cfg.policy is not Policy.CLAMP:
         return 0
-    overflow = depth + 1 - cfg.clamp_size
-    if overflow <= 0:
-        return 0
-    if cfg.clamp_size == 0 or not cfg.keep_incoming:
-        return None
-    return overflow
+    return max(0, depth + 1 - cfg.clamp_size)
 
 
 def reap(store, now: int, cfg: RetentionConfig) -> List:

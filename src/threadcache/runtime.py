@@ -32,8 +32,9 @@ would ``threading.Thread``s; it removes itself on exit and then releases
 its stop lock, which is its ``_tstate_lock``, so ``Thread.join``,
 ``is_alive`` and ``repr`` read it as they read a ``Thread``'s.
 
-Set ``THREADCACHE=0`` to disable caching entirely: every spawn is then a
-physical create and every exit a physical exit.
+A runtime whose idle store is closed keeps nothing: every spawn is a
+physical create and every exit a physical exit. ``shutdown`` closes it, as
+do ``THREADCACHE=0`` (``enabled=False``), a clamp of 0 and a fork in a task.
 """
 
 from __future__ import annotations
@@ -259,10 +260,11 @@ class ThreadCache:
                  retention: Optional[RetentionConfig] = None):
         if enabled is None:
             enabled = os.environ.get("THREADCACHE", "1") != "0"
-        self._enabled = bool(enabled)
         self._retention = retention if retention is not None \
             else RetentionConfig.from_env()
         self._store = IdleStore(self._retention)
+        if not enabled:
+            self._store.close()
         # cold-path counters; cache hits are counted by the store's pops
         self._count_lock = threading.Lock()
         self._creates = 0
@@ -271,6 +273,7 @@ class ThreadCache:
         self._worker_ids = itertools.count(1)
         self._reset_hooks: List[Callable] = []
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
+        self._reap_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._start_reaper()
         _runtimes.add(self)
@@ -279,7 +282,8 @@ class ThreadCache:
 
     @property
     def enabled(self) -> bool:
-        return self._enabled
+        """False once the store is closed: the runtime keeps no worker."""
+        return not self._store.closed
 
     @property
     def retention(self) -> RetentionConfig:
@@ -301,18 +305,17 @@ class ThreadCache:
         if entry is None:
             raise UsageError("entry must be callable")
         task = JoinHandle(entry, arg)
-        if self._enabled:
-            w = self._store.pop()
-            if w is not None:
-                task.worker = w
-                w.task = task
-                w._park_lock.release()
-                return task
+        w = self._store.pop()
+        if w is not None:
+            task.worker = w
+            w.task = task
+            w._park_lock.release()
+            return task
         w = Worker(next(self._worker_ids), self)
         wid = w.worker_id
         task.worker = w
         w.task = task  # not a thread arg: the thread would keep it for life
-        # registered and counted before start: a disabled-mode worker can
+        # registered and counted before start: an uncached worker can
         # exit, and unregister itself, before spawn returns
         with self._count_lock:
             if self._stop_event.is_set():
@@ -368,7 +371,8 @@ class ThreadCache:
         """Run one retention maintenance pass; returns the cull count."""
         if now is None:
             now = time.monotonic_ns()
-        culled = _retention.reap(self._store, now, self._retention)
+        with self._reap_lock:  # overlapping passes would cull one excess twice
+            culled = _retention.reap(self._store, now, self._retention)
         for w in culled:
             self._terminate_worker(w)
         return len(culled)
@@ -397,11 +401,9 @@ class ThreadCache:
     # -- internals --------------------------------------------------------
 
     def _start_reaper(self):
-        """Start the background reaper if the retention policy needs one
-        and the runtime is open."""
+        """Start the reaper if the policy needs one and the store is open."""
         self._reaper = None
-        if (self._enabled and self._retention.needs_reaper
-                and not self._stop_event.is_set()):
+        if self.enabled and self._retention.needs_reaper:
             self._reaper = _OSThread(target=self._reaper_loop,
                                      name="threadcache-reaper", daemon=True)
             self._reaper.start()
@@ -412,7 +414,7 @@ class ThreadCache:
     def _dispatch_loop(self, worker: Worker, started):
         """The worker's thread: run its task, clear the handle's entry and
         arg, fire the latch, then park on the store until the next task;
-        exit when refused, disabled or woken with no task."""
+        exit when the closed store refuses it or when woken with no task."""
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
@@ -428,7 +430,6 @@ class ThreadCache:
         task = worker.task
         park = worker._park_lock
         store = self._store
-        enabled = self._enabled
         _current.worker = worker
         while True:
             try:
@@ -451,10 +452,8 @@ class ThreadCache:
             worker.task = None
             task._latch.release()  # fires strictly before publication
             task = None  # an idle worker holds no task or value
-            if not enabled:
-                break
             evicted = store.push(worker)
-            if evicted is None:  # refused: closed by shutdown, or clamped
+            if evicted is None:  # refused: the store is closed
                 break
             if evicted:  # the clamp made room: the oldest idle workers exit
                 for w in evicted:
@@ -487,21 +486,20 @@ def _after_fork_in_child():
     """Only the forking thread survives a fork. Each runtime forgets the
     workers that did not fork, stops those that ``threading._after_fork``
     did not (not yet started, or running a shimmed thread, which holds
-    their entry in ``threading._active``), counts them culled, takes a new
-    store and starts a new reaper. A worker that forked holds the old,
-    closed store, so it exits after its task, as a forked
-    ``threading.Thread`` does. In its child every runtime runs uncached, so
-    no worker parks and no reaper starts that would outlive the task and
-    keep the child from ending. A task that a forgotten worker was running
-    never finishes in the child, so its handle completes there as poisoned
-    and a wait or join on it returns at once."""
+    their entry in ``threading._active``), counts them culled, empties its
+    store and starts a new reaper. In a child forked from a task every
+    runtime closes its store, so the forking worker exits after its task,
+    as a forked ``threading.Thread`` does, and no worker parks and no
+    reaper starts that would outlive the task and keep the child from
+    ending. A task that a forgotten worker was running never finishes in
+    the child, so its handle completes there as poisoned and a wait or
+    join on it returns at once."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
-        if from_worker:
-            rt._enabled = False
         rt._count_lock._at_fork_reinit()
-        rt._store = rt._store.after_fork()
+        rt._reap_lock._at_fork_reinit()
+        rt._store.after_fork(close=from_worker)
         for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]
             w._reset_internal_locks(False)  # as threading._after_fork does

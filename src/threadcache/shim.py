@@ -7,12 +7,12 @@ read once, at import, and everything falls back to them whenever a request
 is not cache-eligible:
 
 * a nonzero ``threading.stack_size()`` is in effect (custom stack sizes are
-  never served from the cache),
-* the active runtime is disabled (``THREADCACHE=0``), which makes the shim
-  byte-for-byte passthrough, or
-* the active runtime has been shut down, so unmodified code still starts
-  threads after ``ThreadCache.shutdown()``, also when the shutdown comes
-  between this check and the spawn, which then refuses the start.
+  never served from the cache), or
+* the active runtime keeps nothing (``enabled`` reads False): disabled
+  (``THREADCACHE=0``) or clamped to 0, which makes the shim passthrough, or
+  shut down, so unmodified code still starts threads after
+  ``ThreadCache.shutdown()``, also when the shutdown comes between this
+  check and the spawn, which then refuses the start.
 
 The shim keeps no table of the threads it started: each ``CachedThread``
 holds its own runtime handle, and a raw ``start_new_thread`` start is
@@ -31,7 +31,8 @@ start makes the task's completion latch its stop lock, ``_tstate_lock``, so
 thread, the wait at interpreter exit are ``Thread``'s own; only ``start``
 and a fast ``join`` on the handle are the shim's. ``run()``, like a raw
 start's function, runs in a fresh ``contextvars`` context, as on a new
-thread.
+thread, and under the hooks a new thread starts with: ``threading``'s
+trace and profile hooks for a ``CachedThread``, none for a raw start.
 
 A ``CachedThread`` is built without ``Thread.__init__``: it sets the same
 fields but shares one never-set ``_started`` Event, and a cached start swaps
@@ -75,7 +76,7 @@ _runtime: Optional[ThreadCache] = None
 
 
 def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
-    if rt is None or not rt.enabled or rt.closed:
+    if rt is None or not rt.enabled:
         return False
     # stack_size() with no argument also sets the size to 0: put it back
     size = threading.stack_size()
@@ -146,6 +147,9 @@ class CachedThread(_REAL_THREAD):
                 threading._shutdown_locks.add(lk)
 
     def _cache_body(self):
+        # a new Thread's hooks, not its worker's; a None hook clears
+        sys.settrace(threading._trace_hook)
+        sys.setprofile(threading._profile_hook)
         # while run() runs, threading sees this thread, not the worker:
         # current_thread(), enumerate(), logging's threadName
         ident = self._ident = _thread.get_ident()
@@ -190,6 +194,8 @@ def _shim_start_new_thread(function, args=(), kwargs=None):
         return _REAL_START_NEW_THREAD(function, args, kwargs)
 
     def body():
+        sys.settrace(None)  # a new _thread thread starts with no hooks
+        sys.setprofile(None)
         try:
             contextvars.Context().run(function, *args, **kwargs)
         except SystemExit:

@@ -77,8 +77,6 @@ class PolicySimulator:
                     return SimOutcome("exit", admitted=None)
                 overflow = len(self.idle) + 1 - cfg.clamp_size
                 if overflow > 0:
-                    if not cfg.keep_incoming:
-                        return SimOutcome("exit", admitted=None)
                     evicted = [t for t, _ in self.idle[:overflow]]
                     self.idle = self.idle[overflow:]
                     self.idle.append((tag, ev.t))

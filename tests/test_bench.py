@@ -91,7 +91,7 @@ def spawn_rate(creators, duration, cached):
             raise GateError("default mode recorded cache hits")
         return cycles / duration, delta
     finally:
-        rt.shutdown(join=False)
+        rt.shutdown(join=True)  # the next run starts from a quiet process
 
 
 def forkjoin_sort(rt, data, cutoff):
@@ -132,7 +132,7 @@ def forkjoin_ms(n, cutoff, cached):
             raise GateError("fork-join output is not sorted(data)")
         return elapsed_ms, _stats_delta(before, after)
     finally:
-        rt.shutdown(join=False)
+        rt.shutdown(join=True)  # the next run starts from a quiet process
 
 
 class TestSpawnBench:

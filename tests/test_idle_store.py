@@ -304,11 +304,9 @@ class TestClose:
 
 
 class TestClamp:
-    @pytest.mark.parametrize("keep_incoming", [True, False])
-    def test_concurrent_pushes_never_exceed_clamp(self, keep_incoming):
+    def test_concurrent_pushes_never_exceed_clamp(self):
         # the clamp check and the append are one step under the lock
-        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2,
-                              keep_incoming=keep_incoming)
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -330,12 +328,12 @@ class TestClamp:
                     t.join(2.0)
                 assert not any(t.is_alive() for t in ts)
                 assert s.peak == s.count == 2
-                # every worker is stored, evicted once, or refused
-                evicted = [w for e in out if e for w in e]
-                refused = [w for w, e in zip(ws, out) if e is None]
-                assert Counter(map(id, s.snapshot() + evicted + refused)) \
+                # every worker is admitted, then stored or evicted once
+                assert None not in out
+                evicted = [w for e in out for w in e]
+                assert Counter(map(id, s.snapshot() + evicted)) \
                     == Counter(map(id, ws))
-                assert len(refused if not keep_incoming else evicted) == 14
+                assert len(evicted) == 14
         finally:
             sys.setswitchinterval(old)
 

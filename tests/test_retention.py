@@ -1,5 +1,6 @@
 """Retention policies: admit (applied by the store's push), reap, env config."""
 
+import dataclasses
 import random
 
 import pytest
@@ -67,6 +68,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RetentionConfig.from_env({"THREADCACHE_POLICY": "bogus"})
 
+    def test_fields(self):
+        # no refusing clamp: a full one always evicts its oldest worker
+        assert [f.name for f in dataclasses.fields(RetentionConfig)] == [
+            "policy", "clamp_size", "max_idle_age", "budget", "reap_period"]
+
 
 class TestAdmit:
     """admit() is the pure rule; push applies it under the store's lock."""
@@ -88,9 +94,9 @@ class TestAdmit:
         assert s.integral(now) == pytest.approx(1.0)
 
     def test_clamp_zero_terminates(self):
-        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=0)
-        assert admit(0, cfg) is None
-        s = IdleStore(cfg)
+        # a store that may keep nothing is born closed: it refuses every push
+        s = IdleStore(RetentionConfig(policy=Policy.CLAMP, clamp_size=0))
+        assert s.closed
         assert s.push(FakeWorker(0), now=0) is None
         assert (s.count, s.peak) == (0, 0)
 
@@ -100,14 +106,6 @@ class TestAdmit:
         s, _ = store_with_ages(5 * NS, [1], cfg)
         assert s.push(FakeWorker(9), 5 * NS) == ()
         assert s.count == 2
-
-    def test_clamp_refused_admission_variant(self):
-        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2,
-                              keep_incoming=False)
-        assert admit(2, cfg) is None
-        s, ws = store_with_ages(5 * NS, [1, 2], cfg)
-        assert s.push(FakeWorker(9), 5 * NS) is None
-        assert s.snapshot() == ws[::-1]  # cached pair untouched
 
     @pytest.mark.parametrize("policy", [Policy.AGE_OUT,
                                         Policy.INTEGRAL_BUDGET])
@@ -222,7 +220,6 @@ def random_config(rng):
         clamp_size=rng.randrange(0, 5),
         max_idle_age=rng.choice([0.5, 1.0, 2.5, 6.0]),
         budget=rng.choice([0.0, 1.0, 4.0, 10.0]),
-        keep_incoming=rng.random() < 0.8,
     )
 
 
@@ -242,7 +239,6 @@ def test_policy_engine_matches_simulator_hypothesis(data):
         clamp_size=data.draw(st.integers(0, 4)),
         max_idle_age=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
         budget=data.draw(st.sampled_from([0.0, 2.0, 8.0])),
-        keep_incoming=data.draw(st.booleans()),
     )
     kinds = data.draw(st.lists(st.sampled_from(["exit", "spawn", "tick"]),
                                max_size=30))

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import threadcache
-from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
-                         TaskPoisoned, ThreadCache, UsageError, current_task,
-                         logical_exit)
+from threadcache import (DeadlockError, IdleStore, Policy, RetentionConfig,
+                         SpawnError, TaskPoisoned, ThreadCache, UsageError,
+                         current_task, logical_exit)
 
 from conftest import (net_new_objects, one_cpu, quiescent, reap_child,
                       wait_until)
@@ -489,7 +489,8 @@ class TestFork:
             if pid == 0:  # only this worker is left, and it is running
                 s = rt.stats()
                 if not (s.physical_creates - s.physical_culls
-                        == len(rt._live) == 1 and s.current_idle == 0):
+                        == len(rt._live) == 1 and s.current_idle == 0
+                        and not rt.enabled):
                     os._exit(1)
             return pid  # the child's only thread exits, as a Thread's would
 
@@ -552,6 +553,29 @@ class TestFork:
                     if (h.wait(2.0) and h.join() == 42
                             and wait_until(lambda: quiescent(rt))):
                         code = 0
+            finally:
+                os._exit(code)
+        assert reap_child(pid) == 0
+
+    def test_child_forked_from_main_keeps_cache_hits_and_peak(self, runtime):
+        rt = runtime(enabled=True)
+        idle_workers(rt, 3)
+        rt.spawn(lambda: None).join()
+        assert wait_until(lambda: quiescent(rt))
+        before = rt.stats()
+        pid = os.fork()
+        if pid == 0:  # the same store, emptied: its counts carry on
+            code = 1
+            try:
+                s = rt.stats()
+                if (rt.enabled and s.current_idle == 0
+                        and (s.cache_hits, s.peak_idle)
+                        == (before.cache_hits, before.peak_idle) == (1, 3)):
+                    rt.spawn(lambda: None).join()  # a create, which parks
+                    if wait_until(lambda: rt.stats().current_idle == 1):
+                        rt.spawn(lambda: None).join()  # and a hit
+                        if rt.stats().cache_hits == 2:
+                            code = 0
             finally:
                 os._exit(code)
         assert reap_child(pid) == 0
@@ -911,6 +935,14 @@ class TestDisabledMode:
         monkeypatch.delenv("THREADCACHE", raising=False)
         assert runtime().enabled
 
+    def test_shut_down_or_clamped_to_zero_reads_disabled(self, runtime):
+        # enabled reads the store: closed by shutdown, or born closed
+        rt = runtime(enabled=True)
+        rt.shutdown()
+        assert not rt.enabled
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=0)
+        assert not runtime(enabled=True, retention=cfg).enabled
+
 
 class TestRetentionIntegration:
     def test_clamp_policy_bounds_idle_depth(self, runtime):
@@ -944,11 +976,38 @@ class TestRetentionIntegration:
                           timeout=3.0)
         assert rt.stats().current_idle == 0
 
-    @pytest.mark.parametrize("keep_incoming", [True, False])
-    def test_clamp_exact_under_concurrent_exits(self, keep_incoming):
+    def test_overlapping_reap_passes_cull_once(self, runtime):
+        # idle 3, 2 and 1 s against a budget of 3.5 thread-s: culling the
+        # oldest leaves 3.0. A second pass that starts between the first
+        # pass's snapshot and its cull must not cull for the same excess.
+        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET, budget=3.5,
+                              reap_period=3600)
+        rt = runtime(enabled=True, retention=cfg)
+        idle_workers(rt, 3)
+        store = rt._store
+        now = time.monotonic_ns()
+        for age, w in zip((3, 2, 1), reversed(store.snapshot())):
+            w.idle_since = now - age * 1_000_000_000
+        culls, second = [], []
+
+        def snapshot_then_reap_on_another_thread():
+            snap = IdleStore.snapshot(store)
+            del store.snapshot  # the second pass reads the store's own
+            t = threading.Thread(target=lambda: culls.append(rt.reap(now)))
+            t.start()
+            t.join(0.2)  # it finishes here unless it waits for this pass
+            second.append(t)
+            return snap
+
+        store.snapshot = snapshot_then_reap_on_another_thread
+        culls.append(rt.reap(now))
+        second[0].join(5.0)
+        assert sorted(culls) == [0, 1]
+        assert store.integral(now) == pytest.approx(3.0)
+
+    def test_clamp_exact_under_concurrent_exits(self):
         # 16 tasks finish together; the clamp holds at every instant
-        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2,
-                              keep_incoming=keep_incoming)
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

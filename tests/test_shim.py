@@ -23,7 +23,8 @@ import weakref
 import pytest
 
 import threadcache.shim as shim
-from threadcache import ThreadCache, current_task, logical_exit
+from threadcache import (Policy, RetentionConfig, ThreadCache, current_task,
+                         logical_exit)
 from threadcache.runtime import _reset_default_runtime
 
 from conftest import net_new_objects, reap_child, wait_until
@@ -383,6 +384,76 @@ def corpus_contextvars_start_fresh():
     return ("contextvars", tuple(seen))
 
 
+def _hooked_target():
+    pass
+
+
+def _set_hooks(seen):
+    """Set threading's trace and profile hooks to record each call of
+    _hooked_target in seen; None clears both."""
+    def hook(kind):
+        def record(frame, event, arg):
+            if event == "call" and frame.f_code is _hooked_target.__code__:
+                seen.append(kind)
+        return record
+    threading.settrace(hook("trace") if seen is not None else None)
+    threading.setprofile(hook("profile") if seen is not None else None)
+
+
+def _warm_thread():
+    t = threading.Thread(target=lambda: None)
+    t.start()
+    t.join()
+    time.sleep(0.01)  # lets a cached worker park before the next start
+
+
+def corpus_hooks_set_after_a_worker_started():
+    # a new thread runs under the hooks set when it starts
+    _warm_thread()
+    seen = []
+    _set_hooks(seen)
+    try:
+        t = threading.Thread(target=_hooked_target)
+        t.start()
+        t.join()
+    finally:
+        _set_hooks(None)
+    return ("hooks-set", tuple(seen))
+
+
+def corpus_hooks_cleared_after_a_worker_started():
+    # a thread made while the hooks were set leaves none to the next one
+    seen = []
+    _set_hooks(seen)
+    try:
+        _warm_thread()
+    finally:
+        _set_hooks(None)
+    t = threading.Thread(target=_hooked_target)
+    t.start()
+    t.join()
+    return ("hooks-cleared", tuple(seen))
+
+
+def corpus_raw_start_runs_without_hooks():
+    # a _thread thread starts with no hooks, whatever threading's are
+    seen = []
+    _set_hooks(seen)
+    try:
+        _warm_thread()
+    finally:
+        _set_hooks(None)
+    done = threading.Event()
+
+    def entry():
+        _hooked_target()
+        done.set()
+
+    _thread.start_new_thread(entry, ())
+    assert done.wait(5.0)
+    return ("raw-start-hooks", tuple(seen))
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -408,6 +479,9 @@ CORPUS = [
     corpus_finished_thread_freed_without_gc,
     corpus_running_thread_reads_itself_alive,
     corpus_contextvars_start_fresh,
+    corpus_hooks_set_after_a_worker_started,
+    corpus_hooks_cleared_after_a_worker_started,
+    corpus_raw_start_runs_without_hooks,
 ]
 
 
@@ -559,6 +633,25 @@ class TestShimCaching:
             assert out == [1]
             s = rt.stats()
             assert (s.spawns_total, s.cache_hits, s.physical_creates) == (0, 0, 0)
+        finally:
+            shim.uninstall()
+            rt.shutdown(join=False)
+
+    def test_clamped_to_zero_runtime_starts_real_threads(self):
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=0)
+        rt = ThreadCache(enabled=True, retention=cfg)
+        shim.install(rt)
+        try:
+            seen = []
+            t = threading.Thread(target=lambda: seen.append(current_task()))
+            t.start()
+            t.join()
+            done = threading.Event()
+            _thread.start_new_thread(done.set, ())
+            assert done.wait(5.0)
+            assert seen == [None]  # ran on a real thread, not a worker
+            assert t._cache_handle is None
+            assert rt.stats().spawns_total == 0
         finally:
             shim.uninstall()
             rt.shutdown(join=False)
