@@ -50,7 +50,7 @@ import weakref
 from _thread import start_new_thread as _start_new_thread  # immune to the shim
 from dataclasses import dataclass
 from threading import Thread as _OSThread  # real class; immune to shim patching
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from . import retention as _retention
 from .idle_store import IdleStore
@@ -211,9 +211,9 @@ class JoinHandle:
 
 class Worker(_OSThread):
     """One physical thread, and its record in ``threading._active``: the
-    park channel, stop lock and the runtime and task it serves. ``task``
-    is the hand-off: the spawner writes it before waking the worker, and
-    it is None outside a dispatch.
+    park channel, stop lock and the task it serves. ``task`` is the
+    hand-off: the spawner writes it before waking the worker, and it is
+    None outside a dispatch. Its runtime knows it by ``worker_id``.
 
     Like ``threading._DummyThread`` it enters ``threading._active`` itself,
     but it is built without ``Thread.__init__``: no Event of its own. It
@@ -225,7 +225,7 @@ class Worker(_OSThread):
     exits.
     """
 
-    __slots__ = ("worker_id", "idle_since", "rt", "task",
+    __slots__ = ("worker_id", "idle_since", "task",
                  "_park_lock", "_tstate_lock")
 
     _initialized = True
@@ -235,11 +235,10 @@ class Worker(_OSThread):
     _started = threading.Event()
     _started.set()
 
-    def __init__(self, worker_id: int, rt: "ThreadCache"):
+    def __init__(self, worker_id: int):
         self._name = f"threadcache-worker-{worker_id}"
         self.worker_id = worker_id
         self.idle_since = 0
-        self.rt = rt
         self.task = None
         lk = _thread.allocate_lock()
         lk.acquire()
@@ -253,7 +252,9 @@ class ThreadCache:
     """The runtime: spawn/join/detach with worker recycling.
 
     All public operations are safe to call from any thread. Handles may be
-    joined from a thread other than the spawner.
+    joined from a thread other than the spawner. Retention passes run on
+    the runtime's one reaper thread, started with it when its policy
+    reaps.
     """
 
     def __init__(self, enabled: Optional[bool] = None,
@@ -271,9 +272,7 @@ class ThreadCache:
         self._failed = 0
         self._culls = 0
         self._worker_ids = itertools.count(1)
-        self._reset_hooks: List[Callable] = []
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
-        self._reap_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._start_reaper()
         _runtimes.add(self)
@@ -284,10 +283,6 @@ class ThreadCache:
     def enabled(self) -> bool:
         """False once the store is closed: the runtime keeps no worker."""
         return not self._store.closed
-
-    @property
-    def retention(self) -> RetentionConfig:
-        return self._retention
 
     @property
     def closed(self) -> bool:
@@ -302,7 +297,7 @@ class ThreadCache:
         UsageError after shutdown: the store is empty then, so the check
         sits on the create path only.
         """
-        if entry is None:
+        if not callable(entry):
             raise UsageError("entry must be callable")
         task = JoinHandle(entry, arg)
         w = self._store.pop()
@@ -311,7 +306,7 @@ class ThreadCache:
             w.task = task
             w._park_lock.release()
             return task
-        w = Worker(next(self._worker_ids), self)
+        w = Worker(next(self._worker_ids))
         wid = w.worker_id
         task.worker = w
         w.task = task  # not a thread arg: the thread would keep it for life
@@ -350,32 +345,12 @@ class ThreadCache:
                           physical_creates=c, physical_culls=k,
                           current_idle=store.count, peak_idle=store.peak)
 
-    def add_reset_hook(self, fn: Callable):
-        """Register a best-effort per-dispatch initializer.
-
-        Runs on the worker before each task. A hook's Exception is logged
-        and the task still runs; any other BaseException (a ``SystemExit``
-        from ``logical_exit``, say) ends the task before its entry runs and
-        is its outcome. Thread-local state is NOT otherwise reset between
-        logical threads; entries must not rely on virgin thread-local values.
-        """
-        self._reset_hooks.append(fn)
-
     def current_worker(self) -> Optional[Worker]:
-        """The worker of this runtime running a task on the calling thread."""
+        """The worker running a task on the calling thread, if it is one of
+        this runtime's live workers."""
         w = _current.worker
-        return w if w is not None and w.task is not None and w.rt is self \
-            else None
-
-    def reap(self, now: Optional[int] = None) -> int:
-        """Run one retention maintenance pass; returns the cull count."""
-        if now is None:
-            now = time.monotonic_ns()
-        with self._reap_lock:  # overlapping passes would cull one excess twice
-            culled = _retention.reap(self._store, now, self._retention)
-        for w in culled:
-            self._terminate_worker(w)
-        return len(culled)
+        return w if w is not None and w.task is not None \
+            and self._live.get(w.worker_id) is w else None
 
     def shutdown(self, join: bool = True, timeout: float = 5.0):
         """Terminate idle workers and the reaper; running tasks finish first.
@@ -433,12 +408,6 @@ class ThreadCache:
         _current.worker = worker
         while True:
             try:
-                # a hook's BaseException is the task's outcome, as the entry's
-                for hook in self._reset_hooks:
-                    try:
-                        hook(worker)
-                    except Exception:
-                        log.exception("reset hook failed")
                 arg = task._arg
                 task._value = task._entry() if arg is _NO_ARG \
                     else task._entry(arg)
@@ -471,10 +440,16 @@ class ThreadCache:
         worker._tstate_lock.release()
 
     def _reaper_loop(self):
+        """Run a retention pass each ``reap_period`` and stop the workers it
+        culls. This thread is the only code that reaps: one starts with the
+        runtime, and one in a forked child, where the parent's is gone, so
+        no two passes overlap."""
         cfg = self._retention
         while not self._stop_event.wait(cfg.reap_period):
             try:
-                self.reap()
+                for w in _retention.reap(self._store, time.monotonic_ns(),
+                                         cfg):
+                    self._terminate_worker(w)
             except Exception:
                 log.exception("reaper pass failed")
 
@@ -498,7 +473,6 @@ def _after_fork_in_child():
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
         rt._count_lock._at_fork_reinit()
-        rt._reap_lock._at_fork_reinit()
         rt._store.after_fork(close=from_worker)
         for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]

@@ -44,9 +44,11 @@ left in a cycle for the garbage collector.
 
 Known, deliberate unsoundness, mirrored from the native runtime:
 thread-local storage is not reset when a physical thread recycles, so a
-logical thread can observe a predecessor's ``threading.local`` values, and
-a raw ``start_new_thread`` start, like a ``_thread`` thread, does not keep
-the process alive at interpreter shutdown.
+logical thread can observe a predecessor's ``threading.local`` values (a
+pure-Python ``_threading_local.local`` keys on ``current_thread()``, the
+new ``CachedThread``, and starts fresh), and a raw ``start_new_thread``
+start, like a ``_thread`` thread, does not keep the process alive at
+interpreter shutdown.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ class CachedThread(_REAL_THREAD):
             self._invoke_excepthook = threading._make_invoke_excepthook()
             return _REAL_THREAD.start(self)
         self._cache_handle = handle
-        self._ident = handle.worker.ident
+        worker = handle.worker
+        self._ident = worker._ident
+        self._native_id = worker._native_id
         # the stop lock first: is_alive asserts that a started thread
         # without one has stopped
         self._tstate_lock = lk = handle._latch
@@ -182,14 +186,17 @@ class CachedThread(_REAL_THREAD):
         handle.wait(timeout)
 
 
-def _shim_start_new_thread(function, args=(), kwargs=None):
+_NO_KWARGS: dict = {}  # start_new_thread's default 3rd arg; never written
+
+
+def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
     rt = _runtime
     if not callable(function):
         raise TypeError("first arg must be callable")
     if not isinstance(args, tuple):
         raise TypeError("2nd arg must be a tuple")
-    if kwargs is None:
-        kwargs = {}
+    if not isinstance(kwargs, dict):
+        raise TypeError("optional 3rd arg must be a dictionary")
     if not _cache_eligible(rt):
         return _REAL_START_NEW_THREAD(function, args, kwargs)
 

@@ -1,6 +1,5 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
-import functools
 import gc
 import os
 import random
@@ -14,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import threadcache
-from threadcache import (DeadlockError, IdleStore, Policy, RetentionConfig,
-                         SpawnError, TaskPoisoned, ThreadCache, UsageError,
-                         current_task, logical_exit)
+from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
+                         TaskPoisoned, ThreadCache, UsageError, current_task,
+                         logical_exit)
 
 from conftest import (net_new_objects, one_cpu, quiescent, reap_child,
                       wait_until)
@@ -52,8 +51,11 @@ class TestSpawnJoin:
                 s.physical_culls, s.current_idle, s.peak_idle) == (0,) * 6
 
     def test_entry_none_rejected(self, runtime):
-        with pytest.raises(UsageError):
-            runtime(enabled=True).spawn(None)
+        rt = runtime(enabled=True)
+        for entry in (None, 5):  # any entry that is not callable
+            with pytest.raises(UsageError, match="entry must be callable"):
+                rt.spawn(entry)
+        assert rt.stats().spawns_total == 0
 
     def test_back_to_back_tasks_share_worker(self, runtime):
         rt = runtime(enabled=True)
@@ -75,9 +77,9 @@ class TestSpawnJoin:
 
     def test_join_blocks_until_slow_start(self, runtime):
         rt = runtime(enabled=True)
-        rt.add_reset_hook(lambda w: time.sleep(0.05))  # delay dispatch
 
         def entry():
+            time.sleep(0.05)
             return 9
 
         t0 = time.monotonic()
@@ -275,17 +277,6 @@ class TestTaskContext:
             assert code == "probe"
             assert wait_until(lambda: rt.stats().current_idle == 1)
         assert rt.stats().physical_creates == 1
-
-    def test_reset_hook_sees_the_task_about_to_run(self, runtime):
-        rt = runtime(enabled=True)
-        seen = []
-        rt.add_reset_hook(lambda w: seen.append((w, *probe_context(rt))))
-        h = rt.spawn(lambda: None)
-        h.join()
-        (w, task, worker, code), = seen
-        assert task is h
-        assert worker is w
-        assert code == "probe"
 
     def test_worker_of_another_runtime(self, runtime):
         rt_a, rt_b = runtime(enabled=True), runtime(enabled=True)
@@ -683,50 +674,6 @@ class TestRecyclingInvariants:
         assert s.spawns_total == n_threads * per
         assert s.spawns_total == s.cache_hits + s.physical_creates
 
-    def test_reset_hooks_run_before_each_task(self, runtime):
-        rt = runtime(enabled=True)
-        seen = []
-        rt.add_reset_hook(lambda w: seen.append(w.worker_id))
-        rt.spawn(lambda: None).join()
-        assert wait_until(lambda: rt.stats().current_idle == 1)
-        rt.spawn(lambda: None).join()
-        assert len(seen) == 2
-
-    def test_reset_hook_failure_does_not_break_dispatch(self, runtime):
-        rt = runtime(enabled=True)
-        rt.add_reset_hook(lambda w: 1 // 0)
-        assert rt.spawn(lambda: 5).join() == 5
-
-    @pytest.mark.parametrize("exc, outcome", [
-        (functools.partial(logical_exit, "hook"), "hook"),  # the hook calls it
-        (SystemExit("hook"), "hook"),
-        (KeyboardInterrupt(), TaskPoisoned),
-    ])
-    def test_reset_hook_base_exception_is_the_task_outcome(self, runtime,
-                                                           exc, outcome):
-        # the task does not run, its latch fires and the worker recycles
-        rt = runtime(enabled=True)
-
-        def hook(w):
-            if not isinstance(exc, BaseException):
-                exc()
-            raise exc
-
-        rt.add_reset_hook(hook)
-        ran = []
-        for _ in range(2):
-            h = rt.spawn(lambda: ran.append(1))
-            assert h.wait(5.0)
-            if outcome is TaskPoisoned:
-                with pytest.raises(TaskPoisoned):
-                    h.join()
-            else:
-                assert h.join() == outcome
-            assert wait_until(lambda: quiescent(rt))
-        assert ran == []
-        s = rt.stats()
-        assert (s.physical_creates, s.cache_hits, s.current_idle) == (1, 1, 1)
-
 
 class TestTinySwitchInterval:
     def test_counters_exact_under_concurrent_churn(self, runtime):
@@ -975,35 +922,6 @@ class TestRetentionIntegration:
         assert wait_until(lambda: rt.stats().physical_culls == 1,
                           timeout=3.0)
         assert rt.stats().current_idle == 0
-
-    def test_overlapping_reap_passes_cull_once(self, runtime):
-        # idle 3, 2 and 1 s against a budget of 3.5 thread-s: culling the
-        # oldest leaves 3.0. A second pass that starts between the first
-        # pass's snapshot and its cull must not cull for the same excess.
-        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET, budget=3.5,
-                              reap_period=3600)
-        rt = runtime(enabled=True, retention=cfg)
-        idle_workers(rt, 3)
-        store = rt._store
-        now = time.monotonic_ns()
-        for age, w in zip((3, 2, 1), reversed(store.snapshot())):
-            w.idle_since = now - age * 1_000_000_000
-        culls, second = [], []
-
-        def snapshot_then_reap_on_another_thread():
-            snap = IdleStore.snapshot(store)
-            del store.snapshot  # the second pass reads the store's own
-            t = threading.Thread(target=lambda: culls.append(rt.reap(now)))
-            t.start()
-            t.join(0.2)  # it finishes here unless it waits for this pass
-            second.append(t)
-            return snap
-
-        store.snapshot = snapshot_then_reap_on_another_thread
-        culls.append(rt.reap(now))
-        second[0].join(5.0)
-        assert sorted(culls) == [0, 1]
-        assert store.integral(now) == pytest.approx(3.0)
 
     def test_clamp_exact_under_concurrent_exits(self):
         # 16 tasks finish together; the clamp holds at every instant

@@ -7,6 +7,7 @@ surviving a recycle) is pinned by its own test.
 """
 
 import _thread
+import _threading_local
 import contextvars
 import decimal
 import gc
@@ -27,7 +28,7 @@ from threadcache import (Policy, RetentionConfig, ThreadCache, current_task,
                          logical_exit)
 from threadcache.runtime import _reset_default_runtime
 
-from conftest import net_new_objects, reap_child, wait_until
+from conftest import net_new_objects, one_cpu, reap_child, wait_until
 
 
 @pytest.fixture
@@ -454,6 +455,37 @@ def corpus_raw_start_runs_without_hooks():
     return ("raw-start-hooks", tuple(seen))
 
 
+def corpus_start_new_thread_rejects_bad_args():
+    # a call _thread refuses raises at once and starts nothing
+    out = []
+    for call in [(print,), (print, (), [1]), (print, (), ()),
+                 (print, (), None)]:
+        try:
+            _thread.start_new_thread(*call)
+            out.append("started")
+        except TypeError:
+            out.append("TypeError")
+    return ("start-new-thread-args", tuple(out))
+
+
+def corpus_pure_python_local_starts_fresh():
+    # _threading_local.local keys on current_thread(): no thread sees an
+    # attribute that an earlier one set
+    local = _threading_local.local()
+    seen = []
+
+    def entry():
+        seen.append(getattr(local, "x", None))
+        local.x = "set"
+
+    for _ in range(3):
+        t = threading.Thread(target=entry)
+        t.start()
+        t.join()
+        time.sleep(0.01)  # lets a cached worker park before the next start
+    return ("pure-python-local", tuple(seen))
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -482,6 +514,8 @@ CORPUS = [
     corpus_hooks_set_after_a_worker_started,
     corpus_hooks_cleared_after_a_worker_started,
     corpus_raw_start_runs_without_hooks,
+    corpus_start_new_thread_rejects_bad_args,
+    corpus_pure_python_local_starts_fresh,
 ]
 
 
@@ -555,6 +589,21 @@ class TestShimCaching:
         t2.start()
         t2.join()
         assert t1.ident == t2.ident
+
+    def test_native_id_set_when_start_returns(self, shimmed):
+        # on a hit under one CPU the body has not run when start() returns
+        seen = []
+        with one_cpu():
+            _warm_thread()
+            assert wait_until(lambda: shimmed.stats().current_idle == 1)
+            t = threading.Thread(
+                target=lambda: seen.append(threading.get_native_id()))
+            t.start()
+            native_id = t.native_id
+            t.join(5.0)
+        assert not t.is_alive()
+        assert shimmed.stats().cache_hits == 1
+        assert native_id == seen[0]
 
     def test_tls_not_reset_on_recycle(self, shimmed):
         # the documented unsoundness: threading.local survives a recycle
