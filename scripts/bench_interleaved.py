@@ -13,15 +13,21 @@ trees in alternating order from block to block:
 * ``churn``     cached spawn+join on a warm runtime, in each tree,
 * ``physical``  spawn+join with caching disabled, in each tree,
 * ``shim``      ``threading.Thread`` start+join through each tree's shim,
-  installed on that tree's churn runtime for its turn only,
+  installed on that tree's churn runtime for its turn only, of non-daemon
+  threads (the default from the main thread),
+* ``shim_daemon`` the same, of daemon threads,
 * ``threading`` ``threading.Thread`` start+join (the stdlib's cold path),
 * ``floor``     a raw two-lock ping-pong between two threads (the hand-off
   every cached spawn+join pays at least once).
 
 A block's number is its mean per operation. Both trees see the same host
 phase within a block, so the report rests on per-block ratios: for churn,
-physical and shim, the median and quartiles of change ÷ base and the
-blocks the change won; for each tree, physical ÷ threading and churn ÷ floor.
+physical and the two shim rows, the median and quartiles of change ÷ base
+and the blocks the change won; for each tree, physical ÷ threading and
+churn ÷ floor.
+The two shim rows differ in what a join does beyond the wait: a non-daemon
+thread's stop lock is also added to, and pruned from, the locks that
+interpreter exit waits on, as for a real ``Thread``.
 Unlike ``bench_pairs.py`` this cannot see rss, thread counts or set-up
 time, which need a process per run. Every join is checked; a wrong value
 exits non-zero.
@@ -72,13 +78,13 @@ def spawn_join_block(rt, n: int) -> float:
     return (perf_counter_ns() - t0) / n / 1e3
 
 
-def thread_block(n: int) -> float:
+def thread_block(n: int, daemon=None) -> float:
     """Mean µs of n threading.Thread start+join round trips."""
     Thread = threading.Thread
     ran = []
     t0 = perf_counter_ns()
     for i in range(n):
-        t = Thread(target=ran.append, args=(i,))
+        t = Thread(target=ran.append, args=(i,), daemon=daemon)
         t.start()
         t.join()
     dt = perf_counter_ns() - t0
@@ -156,6 +162,7 @@ def main(argv=None) -> int:
                 shims[s].install(rts[s, "churn"])
                 try:
                     row[f"{s}.shim"] = thread_block(SHIM_OPS)
+                    row[f"{s}.shim_daemon"] = thread_block(SHIM_OPS, True)
                 finally:
                     shims[s].uninstall()
             row["threading"] = thread_block(PHYSICAL_OPS)
@@ -168,7 +175,7 @@ def main(argv=None) -> int:
             rt.shutdown()
 
     out = {}
-    for wl in ("churn", "physical", "shim"):
+    for wl in ("churn", "physical", "shim", "shim_daemon"):
         ratios = [r[f"change.{wl}"] / r[f"base.{wl}"] for r in rows]
         out[f"{wl}.change_over_base"] = {
             **summary(ratios), "wins": sum(x < 1 for x in ratios),
@@ -179,7 +186,8 @@ def main(argv=None) -> int:
         out[f"{s}.churn_over_floor"] = summary(
             [r[f"{s}.churn"] / r["floor"] for r in rows])
     for key in ("base.churn", "change.churn", "base.physical",
-                "change.physical", "base.shim", "change.shim", "threading",
+                "change.physical", "base.shim", "change.shim",
+                "base.shim_daemon", "change.shim_daemon", "threading",
                 "floor"):
         out[f"{key}_us"] = summary([r[key] for r in rows])
 

@@ -14,33 +14,36 @@ is not cache-eligible:
   ``ThreadCache.shutdown()``, also when the shutdown comes between this
   check and the spawn, which then refuses the start.
 
-The shim keeps no table of the threads it started: each ``CachedThread``
-holds its own runtime handle, and a raw ``start_new_thread`` start is
-detached, so nothing outlives a thread that is never joined.
+The shim keeps no table of the threads it started: a ``CachedThread``
+keeps only its task's completion latch, and a raw ``start_new_thread``
+start is detached, so nothing outlives a thread that is never joined.
 
 Thread exit needs no separate patch: a ``SystemExit`` (what
 ``_thread.exit()`` and ``threadcache.logical_exit()`` raise) ends the body
-as on a real thread. A ``CachedThread`` hands it to ``threading.excepthook``
-as ``Thread`` does, whose default ignores it; a raw start ignores it.
+as on a real thread. A ``CachedThread`` reports it with the excepthook
+invoker that ``Thread`` uses, whose default hook ignores it; a raw start
+ignores it.
 
 While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
 in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
 logging's ``%(threadName)s`` see it as they would a real thread. A cached
 start makes the task's completion latch its stop lock, ``_tstate_lock``, so
-``is_alive``, ``repr``, ``threading``'s at-fork hook and, for a non-daemon
-thread, the wait at interpreter exit are ``Thread``'s own; only ``start``
-and a fast ``join`` on the handle are the shim's. ``run()``, like a raw
-start's function, runs in a fresh ``contextvars`` context, as on a new
-thread, and under the hooks a new thread starts with: ``threading``'s
-trace and profile hooks for a ``CachedThread``, none for a raw start.
+``join``, ``is_alive``, ``repr``, ``threading``'s at-fork hook and, for a
+non-daemon thread, the wait at interpreter exit are ``Thread``'s own; only
+``start`` is the shim's. ``run()``, like a raw start's function, runs in a
+fresh ``contextvars`` context, as on a new thread, and under the hooks a new
+thread starts with: ``threading``'s trace and profile hooks for a
+``CachedThread``, none for a raw start.
 
 A ``CachedThread`` is built without ``Thread.__init__``: it sets the same
 fields but shares one never-set ``_started`` Event, and a cached start swaps
 in a shared set one, so it builds no Event, Condition or excepthook closure
-of its own. Only a fallback start gets a private Event and excepthook, as
-``Thread.start`` needs them. Its runtime handle lets go of the thread's body
-once it has run, so a finished thread is freed by reference counting, not
-left in a cycle for the garbage collector.
+of its own (all share one, built at import). Only a fallback start gets a
+private Event, as ``Thread.start`` needs one. The runtime handle lets go of
+the thread's body once it has run, so a finished thread is freed by
+reference counting, not left in a cycle for the garbage collector. Another
+``Thread`` whose ``__init__`` calls the patched ``threading.Thread.__init__``
+(a ``Timer``, a ``_DummyThread``) is built by ``Thread.__init__`` itself.
 
 Known, deliberate unsoundness, mirrored from the native runtime:
 thread-local storage is not reset when a physical thread recycles, so a
@@ -61,8 +64,7 @@ import traceback
 import types
 from typing import Mapping, Optional
 
-from .runtime import (ThreadCache, UsageError, Worker, current_task,
-                      default_runtime)
+from .runtime import ThreadCache, UsageError, Worker, default_runtime
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -90,10 +92,14 @@ def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
 class CachedThread(_REAL_THREAD):
     """threading.Thread lookalike whose start() runs on a recycled worker."""
 
-    _cache_handle = None  # the runtime handle once started on a worker
+    # as Thread._bootstrap_inner reports an exception; built once, here
+    _invoke_excepthook = staticmethod(threading._make_invoke_excepthook())
 
     def __init__(self, group=None, target=None, name=None,
                  args=(), kwargs=None, *, daemon=None):
+        if not isinstance(self, CachedThread):  # a Timer, a _DummyThread
+            return _REAL_THREAD.__init__(self, group, target, name, args,
+                                         kwargs, daemon=daemon)
         # the fields Thread.__init__ sets (3.10-3.12), but no Event: only a
         # fallback start, which needs one, builds it
         assert group is None, "group argument must be None for now"
@@ -135,9 +141,7 @@ class CachedThread(_REAL_THREAD):
                 pass
         if handle is None:
             self._started = threading.Event()
-            self._invoke_excepthook = threading._make_invoke_excepthook()
             return _REAL_THREAD.start(self)
-        self._cache_handle = handle
         worker = handle.worker
         self._ident = worker._ident
         self._native_id = worker._native_id
@@ -166,24 +170,15 @@ class CachedThread(_REAL_THREAD):
             threading._active[ident] = self
         try:
             contextvars.Context().run(self.run)  # as a new thread starts
-        except BaseException:  # SystemExit too, as in Thread._bootstrap_inner
-            args = threading.ExceptHookArgs(
-                (*sys.exc_info(), self))
-            try:
-                threading.excepthook(args)
-            except Exception:
-                pass
+        except:  # SystemExit too, as in Thread._bootstrap_inner
+            self._invoke_excepthook(self)
         finally:
             with threading._active_limbo_lock:
                 threading._active[ident] = worker
 
-    def join(self, timeout=None):
-        handle = self._cache_handle
-        if handle is None:
-            return _REAL_THREAD.join(self, timeout)
-        if current_task() is handle:
-            raise RuntimeError("cannot join current thread")
-        handle.wait(timeout)
+    # Thread's own: it waits on the stop lock. Bound here only because
+    # perfbench/layers.py wraps CachedThread.__dict__["join"]
+    join = _REAL_THREAD.join
 
 
 _NO_KWARGS: dict = {}  # start_new_thread's default 3rd arg; never written

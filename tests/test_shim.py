@@ -486,6 +486,121 @@ def corpus_pure_python_local_starts_fresh():
     return ("pure-python-local", tuple(seen))
 
 
+def _thread_runs():
+    """What a new Thread's start+join does: its output, or what start()
+    raised."""
+    out = []
+    t = threading.Thread(target=out.append, args=(1,))
+    try:
+        t.start()
+    except RuntimeError as exc:
+        return str(exc)
+    t.join()
+    return tuple(out)
+
+
+def corpus_timer_then_thread():
+    # a Timer is a Thread subclass that calls threading.Thread.__init__
+    fired = threading.Event()
+    timer = threading.Timer(0.0, fired.set)
+    timer.start()
+    timer.join()
+    return ("timer-then-thread", fired.is_set(), _thread_runs())
+
+
+def _foreign(fn):
+    """Run fn on a thread that threading did not start; wait for it."""
+    done = threading.Event()
+
+    def entry():
+        try:
+            fn()
+        finally:  # a _DummyThread outlives its thread: drop it
+            threading._active.pop(_thread.get_ident(), None)
+            done.set()
+
+    shim._REAL_START_NEW_THREAD(entry, ())
+    assert done.wait(5.0)
+
+
+def corpus_foreign_current_thread_then_thread():
+    # current_thread() on a foreign thread builds a _DummyThread, whose
+    # __init__ calls threading.Thread.__init__
+    seen = []
+    _foreign(lambda: seen.append(type(threading.current_thread()).__name__))
+    return ("foreign-then-thread", tuple(seen), _thread_runs())
+
+
+def _raise_value_error(args):
+    raise ValueError("hook failed")
+
+
+def corpus_excepthook_failure_reaches_sys_excepthook():
+    # a threading.excepthook that raises is reported on stderr, and its
+    # error is handed to sys.excepthook
+    seen = []
+    err = io.StringIO()
+    old = threading.excepthook, sys.excepthook, sys.stderr
+    threading.excepthook = _raise_value_error
+    sys.excepthook = lambda *exc_info: seen.append(exc_info[0].__name__)
+    sys.stderr = err
+    try:
+        t = threading.Thread(target=sys.exit, args=(3,))
+        t.start()
+        t.join()
+    finally:
+        threading.excepthook, sys.excepthook, sys.stderr = old
+    return ("excepthook-failure", err.getvalue(), tuple(seen))
+
+
+def corpus_raising_target_freed_without_gc():
+    # the exception report leaves no cycle through the thread behind; the
+    # default excepthook ignores SystemExit and keeps nothing
+    enabled = gc.isenabled()
+    old = threading.excepthook
+    threading.excepthook = threading.__excepthook__
+    gc.disable()
+    try:
+        t = threading.Thread(target=sys.exit, args=(3,))
+        t.start()
+        t.join()
+        ref = weakref.ref(t)
+        del t
+        return ("raising-freed-without-gc", ref() is None)
+    finally:
+        threading.excepthook = old
+        if enabled:
+            gc.enable()
+
+
+def corpus_joined_non_daemon_leaves_no_shutdown_lock():
+    # join drops a non-daemon thread's stop lock from the locks that
+    # interpreter exit waits on
+    t = threading.Thread(target=lambda: None, daemon=False)
+    t.start()
+    lock = t._tstate_lock
+    t.join()
+    return ("no-shutdown-lock", lock is not None,
+            lock in threading._shutdown_locks)
+
+
+def corpus_join_from_foreign_thread():
+    # join calls current_thread(), which on a foreign thread builds a
+    # _DummyThread
+    gate = threading.Event()
+    t = threading.Thread(target=gate.wait, args=(5.0,))
+    t.start()
+    seen = []
+
+    def join():
+        gate.set()
+        t.join(5.0)
+        seen.append(t.is_alive())
+
+    _foreign(join)
+    return ("foreign-join", tuple(seen))
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -516,6 +631,12 @@ CORPUS = [
     corpus_raw_start_runs_without_hooks,
     corpus_start_new_thread_rejects_bad_args,
     corpus_pure_python_local_starts_fresh,
+    corpus_timer_then_thread,
+    corpus_foreign_current_thread_then_thread,
+    corpus_excepthook_failure_reaches_sys_excepthook,
+    corpus_raising_target_freed_without_gc,
+    corpus_joined_non_daemon_leaves_no_shutdown_lock,
+    corpus_join_from_foreign_thread,
 ]
 
 
@@ -623,7 +744,7 @@ class TestShimCaching:
 
     def test_custom_stack_size_falls_back(self, shimmed, monkeypatch):
         # a fallback start runs Thread.start with its own Event and the
-        # excepthook that Thread.__init__ would have built
+        # class's excepthook invoker
         seen = []
         monkeypatch.setattr(threading, "excepthook",
                             lambda args: seen.append(args.exc_type))
@@ -650,7 +771,7 @@ class TestShimCaching:
 
     def test_unstarted_fields_match_thread(self, shimmed):
         # drift guard: CachedThread sets Thread.__init__'s fields itself,
-        # all but the excepthook closure, which only a fallback start needs
+        # all but the excepthook closure, which its class holds
         def f(a, k):
             pass
 
@@ -667,9 +788,13 @@ class TestShimCaching:
         assert got == want
         cached.start()
         cached.join(5.0)
-        assert cached._cache_handle is not None
+        assert shimmed.stats().spawns_total == 1
         assert cached._started.is_set()
         assert not cached.is_alive()
+
+    def test_join_is_threads_own(self):
+        # it waits on the stop lock, which a cached start sets to the latch
+        assert shim.CachedThread.join is shim._REAL_THREAD.join
 
     def test_disabled_runtime_is_passthrough(self):
         rt = ThreadCache(enabled=False)
@@ -699,7 +824,6 @@ class TestShimCaching:
             _thread.start_new_thread(done.set, ())
             assert done.wait(5.0)
             assert seen == [None]  # ran on a real thread, not a worker
-            assert t._cache_handle is None
             assert rt.stats().spawns_total == 0
         finally:
             shim.uninstall()
@@ -715,7 +839,6 @@ class TestShimCaching:
         _thread.start_new_thread(done.set, ())
         assert done.wait(2.0)
         assert out == [1]
-        assert t._cache_handle is None
         assert shimmed.stats().spawns_total == 0
 
     @pytest.fixture
@@ -740,7 +863,6 @@ class TestShimCaching:
         t.join(5.0)
         assert not t.is_alive()
         assert seen == [None]  # ran on a real thread, not a worker
-        assert t._cache_handle is None
         assert shut_down_after_check.stats().spawns_total == 0
 
     def test_start_new_thread_racing_shutdown_falls_back(
@@ -778,7 +900,8 @@ class TestShimCaching:
         gate = threading.Event()
         other = threading.Thread(target=gate.wait, args=(5.0,))
         other.start()
-        worker = other._cache_handle.worker
+        worker, = [w for w in shimmed._live.values()
+                   if w._ident == other.ident]
         box = {}
 
         def fork():
