@@ -6,17 +6,15 @@ physical threads. Includes pluggable retention policies and a drop-in
 ``threading.Thread`` interposition shim.
 """
 
-from .idle_store import IdleStore
-from .retention import Policy, RetentionConfig, admit, reap
+from .retention import Policy, RetentionConfig
 from .runtime import (CacheStats, DeadlockError, JoinHandle, SpawnError,
-                      TaskPoisoned, ThreadCache, UsageError, Worker,
-                      current_task, default_runtime, logical_exit)
+                      TaskPoisoned, ThreadCache, UsageError, current_task,
+                      logical_exit)
 
 __all__ = [
-    "CacheStats", "DeadlockError", "IdleStore", "JoinHandle", "Policy",
-    "RetentionConfig", "SpawnError", "TaskPoisoned", "ThreadCache",
-    "UsageError", "Worker", "admit", "current_task", "default_runtime",
-    "logical_exit", "reap",
+    "CacheStats", "DeadlockError", "JoinHandle", "Policy", "RetentionConfig",
+    "SpawnError", "TaskPoisoned", "ThreadCache", "UsageError",
+    "current_task", "logical_exit",
 ]
 
 __version__ = "0.1.0"

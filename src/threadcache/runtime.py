@@ -35,6 +35,9 @@ its stop lock, which is its ``_tstate_lock``, so ``Thread.join``,
 A runtime whose idle store is closed keeps nothing: every spawn is a
 physical create and every exit a physical exit. ``shutdown`` closes it, as
 do ``THREADCACHE=0`` (``enabled=False``), a clamp of 0 and a fork in a task.
+
+A forked child starts with the forking thread alone: the at-fork hook
+starts no thread, and the child's reaper starts with its first create.
 """
 
 from __future__ import annotations
@@ -204,10 +207,6 @@ class JoinHandle:
                              ("joined" if st == JOINED else "detached"))
         self._state = DETACHED
 
-    @property
-    def finished(self) -> bool:
-        return self._value is not _PENDING
-
 
 class Worker(_OSThread):
     """One physical thread, and its record in ``threading._active``: the
@@ -274,7 +273,9 @@ class ThreadCache:
         self._worker_ids = itertools.count(1)
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
         self._stop_event = threading.Event()
-        self._start_reaper()
+        # the reaper thread; False if the runtime runs none, and None in a
+        # forked child until its first create decides
+        self._reaper = self._start_reaper()
         _runtimes.add(self)
 
     # -- public API -------------------------------------------------------
@@ -315,6 +316,8 @@ class ThreadCache:
         with self._count_lock:
             if self._stop_event.is_set():
                 raise UsageError("spawn after shutdown")
+            if self._reaper is None:
+                self._reaper = self._start_reaper()
             self._live[wid] = w
             self._creates += 1
         started = _thread.allocate_lock()
@@ -345,13 +348,6 @@ class ThreadCache:
                           physical_creates=c, physical_culls=k,
                           current_idle=store.count, peak_idle=store.peak)
 
-    def current_worker(self) -> Optional[Worker]:
-        """The worker running a task on the calling thread, if it is one of
-        this runtime's live workers."""
-        w = _current.worker
-        return w if w is not None and w.task is not None \
-            and self._live.get(w.worker_id) is w else None
-
     def shutdown(self, join: bool = True, timeout: float = 5.0):
         """Terminate idle workers and the reaper; running tasks finish first.
 
@@ -365,7 +361,7 @@ class ThreadCache:
             self._terminate_worker(w)
         if join:
             deadline = time.monotonic() + timeout
-            if self._reaper is not None:
+            if self._reaper:
                 self._reaper.join(max(0.0, deadline - time.monotonic()))
             me = threading.get_ident()
             with self._count_lock:
@@ -376,12 +372,15 @@ class ThreadCache:
     # -- internals --------------------------------------------------------
 
     def _start_reaper(self):
-        """Start the reaper if the policy needs one and the store is open."""
-        self._reaper = None
-        if self.enabled and self._retention.needs_reaper:
-            self._reaper = _OSThread(target=self._reaper_loop,
-                                     name="threadcache-reaper", daemon=True)
-            self._reaper.start()
+        """The reaper, started, if the policy needs one and the store is
+        open, else False: with the runtime, and at a forked child's first
+        create."""
+        if not (self._retention.needs_reaper and self.enabled):
+            return False
+        reaper = _OSThread(target=self._reaper_loop,
+                           name="threadcache-reaper", daemon=True)
+        reaper.start()
+        return reaper
 
     def _terminate_worker(self, w: Worker):
         w._park_lock.release()  # woken with no task: it exits
@@ -442,8 +441,8 @@ class ThreadCache:
     def _reaper_loop(self):
         """Run a retention pass each ``reap_period`` and stop the workers it
         culls. This thread is the only code that reaps: one starts with the
-        runtime, and one in a forked child, where the parent's is gone, so
-        no two passes overlap."""
+        runtime, and one at the first create in a forked child, where the
+        parent's is gone, so no two passes overlap."""
         cfg = self._retention
         while not self._stop_event.wait(cfg.reap_period):
             try:
@@ -462,13 +461,14 @@ def _after_fork_in_child():
     workers that did not fork, stops those that ``threading._after_fork``
     did not (not yet started, or running a shimmed thread, which holds
     their entry in ``threading._active``), counts them culled, empties its
-    store and starts a new reaper. In a child forked from a task every
-    runtime closes its store, so the forking worker exits after its task,
-    as a forked ``threading.Thread`` does, and no worker parks and no
-    reaper starts that would outlive the task and keep the child from
-    ending. A task that a forgotten worker was running never finishes in
-    the child, so its handle completes there as poisoned and a wait or
-    join on it returns at once."""
+    store and forgets its reaper: the hook starts no thread, and the
+    child's first create starts a reaper if the policy reaps. In a child
+    forked from a task every runtime closes its store, so the forking
+    worker exits after its task, as a forked ``threading.Thread`` does, and
+    no worker parks and no reaper starts that would outlive the task and
+    keep the child from ending. A task that a forgotten worker was running
+    never finishes in the child, so its handle completes there as poisoned
+    and a wait or join on it returns at once."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
@@ -485,28 +485,7 @@ def _after_fork_in_child():
                 task._latch._at_fork_reinit()  # released: the task is done
         rt._culls = rt._creates - len(rt._live)
         rt._stop_event._at_fork_reinit()
-        rt._start_reaper()
+        rt._reaper = None  # the first create starts one, if the policy reaps
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)
-
-_default_lock = threading.Lock()
-_default: Optional[ThreadCache] = None
-
-
-def default_runtime() -> ThreadCache:
-    """Process-wide shared runtime, created lazily from the environment."""
-    global _default
-    with _default_lock:
-        if _default is None:
-            _default = ThreadCache()
-        return _default
-
-
-def _reset_default_runtime():
-    """Testing aid: drop the shared runtime (shuts the old one down)."""
-    global _default
-    with _default_lock:
-        old, _default = _default, None
-    if old is not None:
-        old.shutdown(join=False)

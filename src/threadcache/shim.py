@@ -2,7 +2,10 @@
 
 ``install()`` replaces ``threading.Thread`` and ``_thread.start_new_thread``
 with versions that route thread creation through a ThreadCache runtime, so
-unmodified code gains the idle-thread cache. The original entry points are
+unmodified code gains the idle-thread cache. ``install()`` with no runtime
+builds one ``ThreadCache`` from the environment, keeps it across repeated
+calls, and ``uninstall()`` shuts it down; a runtime passed in stays the
+caller's, and the shim never shuts it down. The original entry points are
 read once, at import, and everything falls back to them whenever a request
 is not cache-eligible:
 
@@ -22,7 +25,8 @@ Thread exit needs no separate patch: a ``SystemExit`` (what
 ``_thread.exit()`` and ``threadcache.logical_exit()`` raise) ends the body
 as on a real thread. A ``CachedThread`` reports it with the excepthook
 invoker that ``Thread`` uses, whose default hook ignores it; a raw start
-ignores it.
+ignores it, and passes any other exception to ``sys.unraisablehook``, as
+``_thread`` does.
 
 While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
 in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
@@ -60,11 +64,10 @@ import _thread
 import contextvars
 import sys
 import threading
-import traceback
 import types
 from typing import Mapping, Optional
 
-from .runtime import ThreadCache, UsageError, Worker, default_runtime
+from .runtime import ThreadCache, UsageError, Worker
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -77,6 +80,10 @@ _install_lock = threading.Lock()
 _NOT_STARTED = threading.Event()  # shared by every unstarted CachedThread
 _installed = False
 _runtime: Optional[ThreadCache] = None
+_own_runtime: Optional[ThreadCache] = None  # install() built it
+# the only args type that the default sys.unraisablehook accepts
+_UnraisableHookArgs = next(t for t in tuple.__subclasses__()
+                           if t.__name__ == "UnraisableHookArgs")
 
 
 def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
@@ -202,10 +209,10 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
             contextvars.Context().run(function, *args, **kwargs)
         except SystemExit:
             pass
-        except BaseException:
-            print(f"Unhandled exception in thread started by {function!r}",
-                  file=sys.stderr)
-            traceback.print_exc()
+        except BaseException as exc:  # as _thread reports it
+            (sys.unraisablehook or sys.__unraisablehook__)(_UnraisableHookArgs(
+                (type(exc), exc, exc.__traceback__,
+                 "Exception ignored in thread started by", function)))
 
     try:
         handle = rt.spawn(body)
@@ -216,10 +223,15 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
 
 
 def install(runtime: Optional[ThreadCache] = None):
-    """Activate the interposition; idempotent, reentrancy-safe."""
-    global _installed, _runtime
+    """Activate the interposition; idempotent, reentrancy-safe. Without
+    ``runtime``, threads start on one that the shim builds and owns."""
+    global _installed, _runtime, _own_runtime
     with _install_lock:
-        _runtime = runtime if runtime is not None else default_runtime()
+        if runtime is None:
+            if _own_runtime is None:
+                _own_runtime = ThreadCache()
+            runtime = _own_runtime
+        _runtime = runtime
         if not _installed:
             threading.Thread = CachedThread
             _thread.start_new_thread = _shim_start_new_thread
@@ -227,14 +239,18 @@ def install(runtime: Optional[ThreadCache] = None):
 
 
 def uninstall():
-    """Restore the original entry points (existing cached threads live on)."""
-    global _installed, _runtime
+    """Restore the original entry points and shut down the runtime that
+    ``install()`` built (existing cached threads live on)."""
+    global _installed, _runtime, _own_runtime
     with _install_lock:
         if _installed:
             threading.Thread = _REAL_THREAD
             _thread.start_new_thread = _REAL_START_NEW_THREAD
             _installed = False
         _runtime = None
+        own, _own_runtime = _own_runtime, None
+    if own is not None:
+        own.shutdown(join=False)
 
 
 def installed() -> bool:

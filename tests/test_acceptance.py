@@ -148,7 +148,7 @@ def test_criterion_7_post_reap_invariants():
 def test_criterion_8_idle_store_stress():
     want, got = run_stress(n_ops=1_000_000, pushers=8, poppers=8)
     # single-threaded subsequence: LIFO order is exact
-    from threadcache import IdleStore
+    from threadcache.idle_store import IdleStore
     from conftest import FakeWorker
     s = IdleStore()
     ws = [FakeWorker(i) for i in range(100)]
@@ -208,7 +208,7 @@ def test_criterion_10_join_semantics():
                 # post-completion join: let the task finish first
                 handle.wait()
             assert handle.join() == status
-            assert handle.finished
+            assert handle.wait(0)
         report(10, True,
                f"{schedules} randomized schedules: joined status matched "
                f"entry return / logical_exit (incl. deep unwind and "

@@ -21,6 +21,19 @@ from conftest import (net_new_objects, one_cpu, quiescent, reap_child,
                       wait_until)
 
 
+def test_package_root_exports_only_the_api():
+    assert sorted(threadcache.__all__) == [
+        "CacheStats", "DeadlockError", "JoinHandle", "Policy",
+        "RetentionConfig", "SpawnError", "TaskPoisoned", "ThreadCache",
+        "UsageError", "current_task", "logical_exit"]
+    for name in threadcache.__all__:
+        getattr(threadcache, name)
+    # what the benchmark and scripts/ read from the package root
+    assert {"ThreadCache", "RetentionConfig", "Policy", "SpawnError",
+            "TaskPoisoned", "CacheStats",
+            "current_task"} <= set(threadcache.__all__)
+
+
 class TestSpawnJoin:
     def test_cold_runtime_single_spawn(self, runtime):
         rt = runtime(enabled=True)
@@ -89,7 +102,7 @@ class TestSpawnJoin:
     def test_join_after_completion_returns_immediately(self, runtime):
         rt = runtime(enabled=True)
         h = rt.spawn(lambda: 3)
-        assert wait_until(lambda: h.finished)
+        assert wait_until(lambda: h.wait(0))
         t0 = time.monotonic()
         assert h.join() == 3
         assert time.monotonic() - t0 < 0.1
@@ -171,7 +184,7 @@ class TestDetach:
         for i in range(1000):
             h = rt.spawn(lambda: None)
             h.detach()
-            assert wait_until(lambda: h.finished and
+            assert wait_until(lambda: h.wait(0) and
                               rt.stats().current_idle >= 1)
         s = rt.stats()
         assert s.spawns_total == 1000
@@ -187,7 +200,7 @@ class TestDetach:
             h = rt.spawn(lambda: None)
             h.detach()
             handles.append(h)
-        assert wait_until(lambda: all(h.finished for h in handles))
+        assert wait_until(lambda: all(h.wait(0) for h in handles))
         s = rt.stats()
         assert s.spawns_total == 1000
         assert s.spawns_total == s.cache_hits + s.physical_creates
@@ -247,21 +260,22 @@ class TestLogicalExit:
         assert rt.stats() == before
 
 
-def probe_context(rt):
-    """current_task(), rt.current_worker() and the code of the SystemExit
-    that logical_exit raises, on any thread."""
+def probe_context():
+    """current_task(), its worker and the code of the SystemExit that
+    logical_exit raises, on any thread."""
     try:
         logical_exit("probe")
     except SystemExit as exc:
-        return current_task(), rt.current_worker(), exc.code
+        task = current_task()
+        return task, task and task.worker, exc.code
 
 
 class TestTaskContext:
     def test_main_and_plain_threads_have_no_context(self, runtime):
         rt = runtime(enabled=True)
         rt.spawn(lambda: None).join()  # a worker has set its own context
-        out = [probe_context(rt)]
-        t = threading.Thread(target=lambda: out.append(probe_context(rt)))
+        out = [probe_context()]
+        t = threading.Thread(target=lambda: out.append(probe_context()))
         t.start()
         t.join(5.0)
         assert not t.is_alive()
@@ -270,7 +284,7 @@ class TestTaskContext:
     def test_task_sees_its_handle_and_worker(self, runtime):
         rt = runtime(enabled=True)
         for _ in range(3):  # a cold worker, then the same worker recycled
-            h = rt.spawn(probe_context, rt)
+            h = rt.spawn(probe_context)
             task, worker, code = h.join()
             assert task is h
             assert worker is h.worker
@@ -278,21 +292,12 @@ class TestTaskContext:
             assert wait_until(lambda: rt.stats().current_idle == 1)
         assert rt.stats().physical_creates == 1
 
-    def test_worker_of_another_runtime(self, runtime):
-        rt_a, rt_b = runtime(enabled=True), runtime(enabled=True)
-        h = rt_a.spawn(lambda: (probe_context(rt_b), rt_a.current_worker()))
-        (task, worker_b, code), worker_a = h.join()
-        assert task is h
-        assert worker_b is None
-        assert worker_a is h.worker
-        assert code == "probe"
-
     def test_handle_holds_its_worker_when_spawn_returns(self, runtime):
         # on a hit under one CPU the worker has not run when spawn returns
         rt = runtime(enabled=True)
         with one_cpu():
             for _ in range(2):  # a create, then a hit on the same worker
-                h = rt.spawn(rt.current_worker)
+                h = rt.spawn(lambda: current_task().worker)
                 worker = h.worker
                 assert worker is not None
                 assert h.join() is worker
@@ -347,7 +352,7 @@ class TestThreadingRecord:
             me = threading.current_thread()
             return (me.name, me.ident == threading.get_ident(), me.daemon,
                     me.is_alive(), me.name in repr(me),
-                    str(me.ident) in repr(me), me is rt.current_worker())
+                    str(me.ident) in repr(me), me is current_task().worker)
 
         for _ in range(3):  # a cold worker, then (cached) the same one
             h = rt.spawn(probe)
@@ -514,7 +519,7 @@ class TestFork:
             code = 1
             try:
                 t0 = time.monotonic()
-                if (h.wait(1.0) and h.finished
+                if (h.wait(1.0) and h.wait(0)
                         and time.monotonic() - t0 < 0.5):
                     try:
                         h.join()
@@ -587,6 +592,16 @@ class TestFork:
                 os._exit(code)
         assert reap_child(pid) == 0
 
+    def test_fork_hook_starts_no_thread(self, runtime):
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=60.0)
+        rt = runtime(enabled=True, retention=cfg)
+        idle_workers(rt, 2)
+        assert rt._reaper.is_alive()
+        pid = os.fork()
+        if pid == 0:  # the forking thread alone, until the first create
+            os._exit(0 if len(sys._current_frames()) == 1 else 1)
+        assert reap_child(pid) == 0
+
 
 class TestFailureModes:
     def test_poisoned_task_recycles_worker(self, runtime):
@@ -634,7 +649,7 @@ class TestRecyclingInvariants:
             observed = []
 
             def check(h=h1):
-                observed.append(h.finished)
+                observed.append(h.wait(0))
 
             h2 = rt.spawn(check)
             h2.join()

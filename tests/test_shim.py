@@ -26,7 +26,6 @@ import pytest
 import threadcache.shim as shim
 from threadcache import (Policy, RetentionConfig, ThreadCache, current_task,
                          logical_exit)
-from threadcache.runtime import _reset_default_runtime
 
 from conftest import net_new_objects, one_cpu, reap_child, wait_until
 
@@ -45,7 +44,6 @@ def always_uninstalled():
     yield
     if shim.installed():
         shim.uninstall()
-    _reset_default_runtime()
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +453,29 @@ def corpus_raw_start_runs_without_hooks():
     return ("raw-start-hooks", tuple(seen))
 
 
+def corpus_raw_start_exception_reaches_unraisablehook():
+    # _thread hands an uncaught exception to sys.unraisablehook
+    seen = []
+    done = threading.Event()
+
+    def hook(u):
+        seen.append((u.err_msg, u.object is entry, str(u.exc_value),
+                     u.exc_traceback is not None))
+        done.set()
+
+    def entry():
+        raise ValueError("raw start failed")
+
+    old = sys.unraisablehook
+    sys.unraisablehook = hook
+    try:
+        _thread.start_new_thread(entry, ())
+        assert done.wait(5.0)
+    finally:
+        sys.unraisablehook = old
+    return ("raw-start-unraisable", tuple(seen))
+
+
 def corpus_start_new_thread_rejects_bad_args():
     # a call _thread refuses raises at once and starts nothing
     out = []
@@ -629,6 +650,7 @@ CORPUS = [
     corpus_hooks_set_after_a_worker_started,
     corpus_hooks_cleared_after_a_worker_started,
     corpus_raw_start_runs_without_hooks,
+    corpus_raw_start_exception_reaches_unraisablehook,
     corpus_start_new_thread_rejects_bad_args,
     corpus_pure_python_local_starts_fresh,
     corpus_timer_then_thread,
@@ -965,7 +987,6 @@ class TestShimCaching:
 
     def test_default_runtime_used_when_unspecified(self, monkeypatch):
         monkeypatch.setenv("THREADCACHE", "1")
-        _reset_default_runtime()
         shim.install()
         try:
             t = threading.Thread(target=lambda: None)
@@ -974,3 +995,29 @@ class TestShimCaching:
             assert shim.active_runtime().stats().spawns_total == 1
         finally:
             shim.uninstall()
+
+    def test_install_without_runtime_twice_keeps_one(self):
+        shim.install()
+        rt = shim.active_runtime()
+        shim.install()
+        assert shim.active_runtime() is rt
+
+    def test_uninstall_leaves_no_worker_of_the_runtime_install_built(
+            self, monkeypatch):
+        monkeypatch.setenv("THREADCACHE", "1")
+        before = _worker_threads()
+        shim.install()
+        t = threading.Thread(target=lambda: None)
+        t.start()
+        t.join()
+        shim.uninstall()
+        assert wait_until(lambda: _worker_threads() <= before)
+
+    def test_uninstall_leaves_a_runtime_passed_in_running(self, shimmed):
+        shim.uninstall()
+        assert shimmed.enabled and not shimmed.closed
+
+
+def _worker_threads():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("threadcache-worker-")}

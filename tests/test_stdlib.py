@@ -1,12 +1,13 @@
 """CPython's own thread tests, run once plain and once under the shim.
 
 Each stdlib test module runs in two subprocesses at once: one plain, one
-after ``shim.install()`` on the default runtime. The shimmed run may fail
-only the tests that the plain run fails, or the ones in ``ALLOWED``, each
-with the reason it differs. The runtime ages idle workers out
-(``THREADCACHE_POLICY=age``): ``threading_helper.wait_threads_exit`` waits
-for ``_thread._count()`` to fall back, which under the Unbounded policy
-the parked workers never let it do.
+after ``shim.install()``, on the runtime that it builds. The shimmed run
+may fail only the tests that the plain run fails, or the ones in
+``ALLOWED``, each with the reason it differs. The runtime ages idle
+workers out (``THREADCACHE_POLICY=age``):
+``threading_helper.wait_threads_exit`` waits for ``_thread._count()`` to
+fall back, which under the Unbounded policy the parked workers never let
+it do.
 """
 
 import json
@@ -38,17 +39,9 @@ ALLOWED = {
     "test.test_threading.ThreadTests.test_limbo_cleanup":
         "a cached start does not call threading._start_new_thread, which "
         "the test makes fail",
-    "test.test_threading.ThreadJoinOnShutdown"
-    ".test_clear_threads_states_after_fork":
-        "the AgeOut reaper is restarted in the forked child, so the child "
-        "has one thread more than the test counts",
     "test.test_thread.ThreadRunningTests.test__count":
         "timing: idle workers count in _thread._count() until they are "
         "culled, and a cache hit adds none",
-    "test.test_thread.ThreadRunningTests.test_unraisable_exception":
-        "known bug: a raw start prints the error instead of calling "
-        "sys.unraisablehook, whose default accepts only its C args type, "
-        "which Python code cannot build",
 }
 
 _RUNNER = """
