@@ -3,11 +3,11 @@
 ``install()`` replaces ``threading.Thread`` and ``_thread.start_new_thread``
 with versions that route thread creation through a ThreadCache runtime, so
 unmodified code gains the idle-thread cache. ``install()`` with no runtime
-builds one ``ThreadCache`` from the environment, keeps it across repeated
-calls, and ``uninstall()`` shuts it down; a runtime passed in stays the
-caller's, and the shim never shuts it down. The original entry points are
-read once, at import, and everything falls back to them whenever a request
-is not cache-eligible:
+builds one ``ThreadCache`` from the environment and keeps it across repeated
+calls; ``uninstall()`` or an ``install(rt)`` shuts it down. A runtime passed
+in, the built one too, stays the caller's: the shim never shuts it down. The
+original entry points are read once, at import, and everything falls back to
+them whenever a request is not cache-eligible:
 
 * a nonzero ``threading.stack_size()`` is in effect (custom stack sizes are
   never served from the cache), or
@@ -30,14 +30,15 @@ ignores it, and passes any other exception to ``sys.unraisablehook``, as
 
 While its ``run()`` executes, a ``CachedThread`` is the entry of its worker
 in ``threading._active``, so ``current_thread()``, ``enumerate()`` and
-logging's ``%(threadName)s`` see it as they would a real thread. A cached
-start makes the task's completion latch its stop lock, ``_tstate_lock``, so
-``join``, ``is_alive``, ``repr``, ``threading``'s at-fork hook and, for a
-non-daemon thread, the wait at interpreter exit are ``Thread``'s own; only
-``start`` is the shim's. ``run()``, like a raw start's function, runs in a
-fresh ``contextvars`` context, as on a new thread, and under the hooks a new
-thread starts with: ``threading``'s trace and profile hooks for a
-``CachedThread``, none for a raw start.
+logging's ``%(threadName)s`` see it as they would a real thread. Its body
+finds the worker from its task, not in that table, which programs edit, and
+binds as ``start()`` does: the worker's ids, and the task's completion latch
+as its stop lock, ``_tstate_lock``, so ``join``, ``is_alive``, ``repr``,
+``threading``'s at-fork hook and, for a non-daemon thread, the wait at
+interpreter exit are ``Thread``'s own; only ``start`` is the shim's.
+``run()``, like a raw start's function, runs in a fresh ``contextvars``
+context, as on a new thread, and under a new thread's hooks: ``threading``'s
+trace and profile hooks for a ``CachedThread``, none for a raw start.
 
 A ``CachedThread`` is built without ``Thread.__init__``: it sets the same
 fields but shares one never-set ``_started`` Event, and a cached start swaps
@@ -67,7 +68,7 @@ import threading
 import types
 from typing import Mapping, Optional
 
-from .runtime import ThreadCache, UsageError, Worker
+from .runtime import ThreadCache, UsageError, Worker, current_task
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -78,7 +79,6 @@ _REAL_THREAD = threading.Thread
 _REAL_START_NEW_THREAD = _thread.start_new_thread
 _install_lock = threading.Lock()
 _NOT_STARTED = threading.Event()  # shared by every unstarted CachedThread
-_installed = False
 _runtime: Optional[ThreadCache] = None
 _own_runtime: Optional[ThreadCache] = None  # install() built it
 # the only args type that the default sys.unraisablehook accepts
@@ -149,39 +149,40 @@ class CachedThread(_REAL_THREAD):
         if handle is None:
             self._started = threading.Event()
             return _REAL_THREAD.start(self)
+        self._bind(handle)
+        if not self._daemonic:  # as Thread._set_tstate_lock
+            with threading._shutdown_locks_lock:
+                threading._maintain_shutdown_locks()
+                threading._shutdown_locks.add(self._tstate_lock)
+
+    def _bind(self, handle):
+        """Read as started on the task's worker, with its ids; returns it."""
         worker = handle.worker
         self._ident = worker._ident
         self._native_id = worker._native_id
         # the stop lock first: is_alive asserts that a started thread
         # without one has stopped
-        self._tstate_lock = lk = handle._latch
+        self._tstate_lock = handle._latch
         self._started = Worker._started  # shared and set
-        if not self._daemonic:  # as Thread._set_tstate_lock
-            with threading._shutdown_locks_lock:
-                threading._maintain_shutdown_locks()
-                threading._shutdown_locks.add(lk)
+        return worker
 
     def _cache_body(self):
         # a new Thread's hooks, not its worker's; a None hook clears
         sys.settrace(threading._trace_hook)
         sys.setprofile(threading._profile_hook)
+        # as start() binds, for a miss whose body runs before it returns
+        worker = self._bind(current_task())
         # while run() runs, threading sees this thread, not the worker:
         # current_thread(), enumerate(), logging's threadName
-        ident = self._ident = _thread.get_ident()
-        self._native_id = _thread.get_native_id()
         with threading._active_limbo_lock:  # rebound by threading._after_fork
-            worker = threading._active[ident]
-            # as start() does, for a miss whose body runs before it returns
-            self._tstate_lock = worker.task._latch
-            self._started = Worker._started
-            threading._active[ident] = self
+            threading._active[worker._ident] = self
         try:
             contextvars.Context().run(self.run)  # as a new thread starts
         except:  # SystemExit too, as in Thread._bootstrap_inner
             self._invoke_excepthook(self)
         finally:
             with threading._active_limbo_lock:
-                threading._active[ident] = worker
+                threading._active[worker._ident] = worker
 
     # Thread's own: it waits on the stop lock. Bound here only because
     # perfbench/layers.py wraps CachedThread.__dict__["join"]
@@ -225,28 +226,29 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
 def install(runtime: Optional[ThreadCache] = None):
     """Activate the interposition; idempotent, reentrancy-safe. Without
     ``runtime``, threads start on one that the shim builds and owns."""
-    global _installed, _runtime, _own_runtime
+    global _runtime, _own_runtime
     with _install_lock:
+        own = _own_runtime
         if runtime is None:
-            if _own_runtime is None:
-                _own_runtime = ThreadCache()
-            runtime = _own_runtime
-        _runtime = runtime
-        if not _installed:
+            runtime = _own_runtime = own or ThreadCache()
+        else:
+            _own_runtime = None
+        if _runtime is None:
             threading.Thread = CachedThread
             _thread.start_new_thread = _shim_start_new_thread
-            _installed = True
+        _runtime = runtime
+    if own is not None and own is not runtime:
+        own.shutdown(join=False)
 
 
 def uninstall():
     """Restore the original entry points and shut down the runtime that
     ``install()`` built (existing cached threads live on)."""
-    global _installed, _runtime, _own_runtime
+    global _runtime, _own_runtime
     with _install_lock:
-        if _installed:
+        if _runtime is not None:
             threading.Thread = _REAL_THREAD
             _thread.start_new_thread = _REAL_START_NEW_THREAD
-            _installed = False
         _runtime = None
         own, _own_runtime = _own_runtime, None
     if own is not None:
@@ -254,7 +256,7 @@ def uninstall():
 
 
 def installed() -> bool:
-    return _installed
+    return _runtime is not None
 
 
 def active_runtime() -> Optional[ThreadCache]:

@@ -622,6 +622,46 @@ def corpus_join_from_foreign_thread():
     return ("foreign-join", tuple(seen))
 
 
+def corpus_thread_after_a_raw_start_drops_its_entry():
+    # as CPython's test_ident_of_no_threading_threads, a raw start deletes
+    # the entry that current_thread() gave it (a _DummyThread, or under the
+    # shim its worker's); a Thread started after it must still run
+    dropped = threading.Event()
+
+    def drop():
+        ident = threading.current_thread().ident
+        with threading._active_limbo_lock:
+            del threading._active[ident]
+        dropped.set()
+
+    _thread.start_new_thread(drop, ())
+    dropped.wait(5.0)
+    time.sleep(0.05)  # lets a cached worker park before the next start
+    out = []
+    t = threading.Thread(target=out.append, args=("ran",))
+    t.start()
+    t.join(5.0)
+    return ("start-after-dropped-entry", tuple(out))
+
+
+def corpus_ids_inside_run_match_the_os_thread():
+    # the first start on a fresh runtime is a miss, the later ones hits;
+    # either way run() reads the ids of the thread it runs on
+    seen = []
+
+    def entry():
+        me = threading.current_thread()
+        seen.append((me.ident == _thread.get_ident(),
+                     me.native_id == _thread.get_native_id()))
+
+    for _ in range(3):
+        t = threading.Thread(target=entry)
+        t.start()
+        t.join()
+        time.sleep(0.01)  # lets a cached worker park before the next start
+    return ("ids-inside-run", tuple(seen))
+
+
 CORPUS = [
     corpus_create_join_roundtrip,
     corpus_return_value_is_discarded,
@@ -659,6 +699,8 @@ CORPUS = [
     corpus_raising_target_freed_without_gc,
     corpus_joined_non_daemon_leaves_no_shutdown_lock,
     corpus_join_from_foreign_thread,
+    corpus_thread_after_a_raw_start_drops_its_entry,
+    corpus_ids_inside_run_match_the_os_thread,
 ]
 
 
@@ -1016,6 +1058,34 @@ class TestShimCaching:
     def test_uninstall_leaves_a_runtime_passed_in_running(self, shimmed):
         shim.uninstall()
         assert shimmed.enabled and not shimmed.closed
+
+    def test_install_of_a_runtime_shuts_down_the_one_install_built(
+            self, monkeypatch):
+        monkeypatch.setenv("THREADCACHE", "1")
+        shim.install()
+        built = shim.active_runtime()
+        t = threading.Thread(target=lambda: None)
+        t.start()
+        t.join()
+        assert wait_until(lambda: built.stats().current_idle == 1)
+        rt = ThreadCache(enabled=True)
+        try:
+            shim.install(rt)
+            assert shim.installed() and shim.active_runtime() is rt
+            assert built.closed and built.stats().current_idle == 0
+        finally:
+            shim.uninstall()
+            rt.shutdown(join=False)
+
+    def test_install_of_the_runtime_install_built_hands_it_over(self):
+        shim.install()
+        built = shim.active_runtime()
+        shim.install(built)
+        shim.uninstall()
+        try:
+            assert not built.closed
+        finally:
+            built.shutdown(join=False)
 
 
 def _worker_threads():
