@@ -212,7 +212,8 @@ class Worker(_OSThread):
     """One physical thread, and its record in ``threading._active``: the
     park channel, stop lock and the task it serves. ``task`` is the
     hand-off: the spawner writes it before waking the worker, and it is
-    None outside a dispatch. Its runtime knows it by ``worker_id``.
+    None outside a dispatch. Its runtime knows it by ``worker_id``, the
+    runtime's miss count when it was registered.
 
     Like ``threading._DummyThread`` it enters ``threading._active`` itself,
     but it is built without ``Thread.__init__``: no Event of its own. It
@@ -234,11 +235,11 @@ class Worker(_OSThread):
     _started = threading.Event()
     _started.set()
 
-    def __init__(self, worker_id: int):
+    def __init__(self, worker_id: int, task: JoinHandle):
         self._name = f"threadcache-worker-{worker_id}"
         self.worker_id = worker_id
         self.idle_since = 0
-        self.task = None
+        self.task = task  # not a thread arg: the thread would keep it for life
         lk = _thread.allocate_lock()
         lk.acquire()
         self._park_lock = lk
@@ -267,10 +268,8 @@ class ThreadCache:
             self._store.close()
         # cold-path counters; cache hits are counted by the store's pops
         self._count_lock = threading.Lock()
+        self._misses = 0  # spawns past the shutdown check that found no idle
         self._creates = 0
-        self._failed = 0
-        self._culls = 0
-        self._worker_ids = itertools.count(1)
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
         self._stop_event = threading.Event()
         # the reaper thread; False if the runtime runs none, and None in a
@@ -307,10 +306,6 @@ class ThreadCache:
             w.task = task
             w._park_lock.release()
             return task
-        w = Worker(next(self._worker_ids))
-        wid = w.worker_id
-        task.worker = w
-        w.task = task  # not a thread arg: the thread would keep it for life
         # registered and counted before start: an uncached worker can
         # exit, and unregister itself, before spawn returns
         with self._count_lock:
@@ -318,8 +313,10 @@ class ThreadCache:
                 raise UsageError("spawn after shutdown")
             if self._reaper is None:
                 self._reaper = self._start_reaper()
-            self._live[wid] = w
+            wid = self._misses = self._misses + 1
+            w = self._live[wid] = Worker(wid, task)
             self._creates += 1
+        task.worker = w
         started = _thread.allocate_lock()
         started.acquire()
         try:
@@ -328,7 +325,6 @@ class ThreadCache:
             with self._count_lock:
                 del self._live[wid]
                 self._creates -= 1
-                self._failed += 1
             w._tstate_lock.release()  # a shutdown waiting for it goes on
             raise SpawnError(f"physical thread creation failed: {exc}") from exc
         # until the worker is visible to threading, as Thread.start waits
@@ -336,16 +332,20 @@ class ThreadCache:
         return task
 
     def stats(self) -> CacheStats:
-        """Snapshot of the counters; monotonic but not mutually linearized.
+        """Snapshot of the counters, exact at quiescence.
 
-        spawns_total is cache hits + physical creates + failed spawns.
+        spawns_total is cache hits plus misses, and physical_culls is
+        physical creates minus live workers. physical_creates,
+        physical_culls and spawns_total - cache_hits come from one lock
+        section; cache_hits, current_idle and peak_idle are read without
+        it, so under load they need not match the others.
         """
         with self._count_lock:
-            c, f, k = self._creates, self._failed, self._culls
+            m, c, live = self._misses, self._creates, len(self._live)
         store = self._store
         h = store.pops
-        return CacheStats(spawns_total=h + c + f, cache_hits=h,
-                          physical_creates=c, physical_culls=k,
+        return CacheStats(spawns_total=h + m, cache_hits=h,
+                          physical_creates=c, physical_culls=c - live,
                           current_idle=store.count, peak_idle=store.peak)
 
     def shutdown(self, join: bool = True, timeout: float = 5.0):
@@ -432,10 +432,9 @@ class ThreadCache:
             if task is None:  # woken by _terminate_worker
                 break
         with self._count_lock:
-            self._culls += 1
             del self._live[worker.worker_id]
-        with threading._active_limbo_lock:
-            del threading._active[ident]
+        with threading._active_limbo_lock:  # a program may have deleted it
+            threading._active.pop(ident, None)
         worker._tstate_lock.release()
 
     def _reaper_loop(self):
@@ -458,12 +457,12 @@ _runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()
 
 def _after_fork_in_child():
     """Only the forking thread survives a fork. Each runtime forgets the
-    workers that did not fork, stops those that ``threading._after_fork``
-    did not (not yet started, or running a shimmed thread, which holds
-    their entry in ``threading._active``), counts them culled, empties its
-    store and forgets its reaper: the hook starts no thread, and the
-    child's first create starts a reaper if the policy reaps. In a child
-    forked from a task every runtime closes its store, so the forking
+    workers that did not fork, so they count culled, stops those that
+    ``threading._after_fork`` did not (not yet started, or running a
+    shimmed thread, which holds their entry in ``threading._active``),
+    empties its store and forgets its reaper: the hook starts no thread,
+    and the child's first create starts a reaper if the policy reaps. In a
+    child forked from a task every runtime closes its store, so the forking
     worker exits after its task, as a forked ``threading.Thread`` does, and
     no worker parks and no reaper starts that would outlive the task and
     keep the child from ending. A task that a forgotten worker was running
@@ -483,7 +482,6 @@ def _after_fork_in_child():
                     task._value = _Poisoned(RuntimeError(
                         "the task's thread did not survive fork()"))
                 task._latch._at_fork_reinit()  # released: the task is done
-        rt._culls = rt._creates - len(rt._live)
         rt._stop_event._at_fork_reinit()
         rt._reaper = None  # the first create starts one, if the policy reaps
 

@@ -69,8 +69,10 @@ def reap_child(pid, timeout=5.0):
 
 
 def quiescent(rt):
-    """Every worker the runtime made is idle or has exited, and counted so:
-    creates - culls == live workers == idle workers."""
+    """Every worker the runtime made is idle or has exited:
+    creates - culls == live workers == idle workers. The first equality
+    holds by construction, since culls are creates minus live workers;
+    live == idle is the part that can fail."""
     s = rt.stats()
     return (s.physical_creates - s.physical_culls == len(rt._live)
             == s.current_idle)

@@ -438,6 +438,24 @@ class TestThreadingRecord:
         assert not record.is_alive()
         assert record not in threading.enumerate()
 
+    def test_worker_exits_after_its_entry_was_deleted(self, runtime):
+        # as test_ident_of_no_threading_threads does: the worker must still
+        # leave threading and release its stop lock when it exits
+        rt = runtime(enabled=True)
+
+        def drop_entry():
+            with threading._active_limbo_lock:
+                threading._active.pop(threading.get_ident())
+
+        h = rt.spawn(drop_entry)
+        h.join()
+        assert wait_until(lambda: rt.stats().current_idle == 1)
+        t0 = time.monotonic()
+        rt.shutdown(join=True, timeout=2.0)
+        assert time.monotonic() - t0 < 0.5
+        assert not h.worker.is_alive()
+        assert rt.stats().physical_culls == 1
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_shutdown_in_a_forked_child_does_not_wait_for_absent_workers(
             self, runtime):
@@ -630,6 +648,13 @@ class TestFailureModes:
         assert s.spawns_total == 1
         assert (s.cache_hits, s.physical_creates, s.physical_culls) == (0, 0, 0)
         assert rt._live == {}  # a failed start leaves no registration
+        monkeypatch.undo()
+        h = rt.spawn(lambda: None)
+        h.join()
+        assert h.worker.worker_id == 2  # ids never repeat after a failed start
+        s = rt.stats()
+        assert (s.spawns_total, s.physical_creates) == (2, 1)
+        assert rt._live == {2: h.worker}
 
 
 class TestRecyclingInvariants:
@@ -692,8 +717,8 @@ class TestRecyclingInvariants:
 
 class TestTinySwitchInterval:
     def test_counters_exact_under_concurrent_churn(self, runtime):
-        # time-bounded; hits are counted by the store's pop, creates and
-        # failures by the runtime, and their sum must be every spawn made
+        # time-bounded; hits are counted by the store's pop, misses by the
+        # runtime, and their sum must be every spawn made
         rt = runtime(enabled=True)
         made = [0] * 8
         stop = threading.Event()
@@ -726,6 +751,8 @@ class TestTinySwitchInterval:
                           == rt.stats().physical_creates)
         idle = rt._store.snapshot()
         assert len({id(w) for w in idle}) == len(idle)
+        assert len({w.worker_id for w in idle}) == len(idle)
+        assert rt.stats().physical_culls == 0  # Unbounded: no worker exits
         assert rt.stats().peak_idle <= s.physical_creates
 
 
