@@ -5,9 +5,9 @@ appends, all under the lock; pop takes the newest from the end, and the
 culls slice from the front. The lock also guards the exact peak depth and
 the count of successful pops (the runtime's cache hits). The idle integral
 is summed over the stamps when it is read, by the reaper only, so the hit
-path keeps no running total. ``close`` drains the store and refuses every
-later push: a closed store is how a runtime keeps nothing, whether it was
-shut down, built uncached, clamped to 0 or forked from a task.
+path keeps no running total. ``close`` drains the store; a closed store
+hands every later pusher back to exit, and is how a runtime keeps nothing,
+whether it was shut down, built uncached, clamped to 0 or forked from a task.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -41,15 +41,15 @@ class IdleStore:
 
     # push and pop run on every cache hit, so they call acquire/release
     # directly: about half the cost of a ``with`` block on CPython 3.11
-    def push(self, worker, now: Optional[int] = None) -> Optional[Sequence]:
-        """Stamp and publish worker; returns the workers evicted to make room
-        for it, oldest first, or None when the store is closed and refuses
-        it."""
+    def push(self, worker, now: Optional[int] = None) -> Sequence:
+        """Stamp and publish worker; returns the workers that must exit: the
+        oldest, evicted to make room for it, or worker itself when the store
+        is closed and refuses it."""
         lock = self._lock
         lock.acquire()
         try:
             if self._closed:
-                return None
+                return (worker,)
             items = self._items
             evicted = ()  # one shared constant: no allocation
             if len(items) >= self._clamp:
@@ -107,19 +107,15 @@ class IdleStore:
             self._closed = True
             return self._take_front(len(self._items))
 
-    def after_fork(self, close: bool):
+    def after_fork(self):
         """In a forked child: forget the stored workers, which did not fork,
-        keeping the pop count and peak, and close the store if ``close``."""
+        keeping the pop count and peak."""
         self._lock._at_fork_reinit()
         self._items.clear()
-        if close:
-            self._closed = True
 
-    def integral(self, now: Optional[int] = None) -> float:
-        """Sum of idle ages of the stored workers, in thread-seconds; one
-        pass over the store under its lock."""
-        if now is None:
-            now = time.monotonic_ns()
+    def integral(self, now: int) -> float:
+        """Sum of idle ages of the stored workers at now, in thread-seconds;
+        one pass over the store under its lock."""
         with self._lock:
             return sum(now - w.idle_since for w in self._items) / 1e9
 

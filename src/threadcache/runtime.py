@@ -20,8 +20,9 @@ A cache hit takes the store's lock once (the pop, which also counts the
 hit), writes the task into the worker's ``task`` slot and releases the
 worker's park lock; it takes no runtime lock. Each worker owns one park
 lock for life: a successful acquire leaves it held, which re-arms it, and
-whoever removes a worker from the store releases it exactly once. A
-worker woken with no task exits.
+whoever removes a worker from the store releases it exactly once, as a
+worker the closed store refuses releases its own. A worker woken with no
+task exits: that is its one way out.
 
 Workers run on raw ``_thread`` threads: starting one costs no
 ``Thread.__init__``, ``Event`` or bootstrap. A ``Worker`` is itself the
@@ -238,7 +239,6 @@ class Worker(_OSThread):
     def __init__(self, worker_id: int, task: JoinHandle):
         self._name = f"threadcache-worker-{worker_id}"
         self.worker_id = worker_id
-        self.idle_since = 0
         self.task = task  # not a thread arg: the thread would keep it for life
         lk = _thread.allocate_lock()
         lk.acquire()
@@ -352,9 +352,9 @@ class ThreadCache:
         """Terminate idle workers and the reaper; running tasks finish first.
 
         Closing the store drains it in one step; a worker that finishes its
-        task afterwards finds its push refused and exits. With ``join`` it
-        waits, up to ``timeout`` in all, for every live worker to exit but
-        the calling one, which exits once its task returns.
+        task afterwards is refused by it and terminates itself. With
+        ``join`` it waits, up to ``timeout`` in all, for every live worker
+        to exit but the calling one, which exits once its task returns.
         """
         self._stop_event.set()
         for w in self._store.close():
@@ -387,8 +387,9 @@ class ThreadCache:
 
     def _dispatch_loop(self, worker: Worker, started):
         """The worker's thread: run its task, clear the handle's entry and
-        arg, fire the latch, then park on the store until the next task;
-        exit when the closed store refuses it or when woken with no task."""
+        arg, fire the latch, then park on the store until the next task. It
+        exits only when terminated, woken with no task: by whoever takes it
+        from the store, or by itself when the closed store refuses it."""
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
@@ -420,13 +421,11 @@ class ThreadCache:
             worker.task = None
             task._latch.release()  # fires strictly before publication
             task = None  # an idle worker holds no task or value
-            evicted = store.push(worker)
-            if evicted is None:  # refused: the store is closed
-                break
-            if evicted:  # the clamp made room: the oldest idle workers exit
-                for w in evicted:
+            exiting = store.push(worker)
+            if exiting:  # the clamp's oldest, or this worker if refused
+                for w in exiting:
                     self._terminate_worker(w)
-                evicted = w = None  # a parked worker holds no other worker
+                exiting = w = None  # a parked worker holds no other worker
             park.acquire()  # until the next task or a terminate; re-arms
             task = worker.task
             if task is None:  # woken by _terminate_worker
@@ -472,7 +471,9 @@ def _after_fork_in_child():
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
         rt._count_lock._at_fork_reinit()
-        rt._store.after_fork(close=from_worker)
+        rt._store.after_fork()
+        if from_worker:
+            rt._store.close()
         for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]
             w._reset_internal_locks(False)  # as threading._after_fork does

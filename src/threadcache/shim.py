@@ -19,7 +19,7 @@ them whenever a request is not cache-eligible:
 
 The shim keeps no table of the threads it started: a ``CachedThread``
 keeps only its task's completion latch, and a raw ``start_new_thread``
-start is detached, so nothing outlives a thread that is never joined.
+start keeps no handle, so nothing outlives a thread that is never joined.
 
 Thread exit needs no separate patch: a ``SystemExit`` (what
 ``_thread.exit()`` and ``threadcache.logical_exit()`` raise) ends the body
@@ -219,7 +219,6 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
         handle = rt.spawn(body)
     except UsageError:  # shut down since the check
         return _REAL_START_NEW_THREAD(function, args, kwargs)
-    handle.detach()
     return handle.worker.ident
 
 
@@ -268,5 +267,5 @@ _NO_HANDLES: Mapping = types.MappingProxyType({})
 
 def handle_map() -> Mapping:
     """Always empty: the shim tracks no handles, as each CachedThread holds
-    its own and raw starts are detached. Kept for callers that count it."""
+    its own and raw starts keep none. Kept for callers that count it."""
     return _NO_HANDLES

@@ -273,7 +273,7 @@ class TestClose:
             assert s.push(w, now=i) == ()
         assert s.close() == [a, b]
         assert s.count == 0 and s.integral(now=5) == 0
-        assert s.push(c) is None
+        assert s.push(c) == (c,)  # refused: handed back to exit
         assert s.count == 0 and s.pop() is None
         assert s.close() == []
 
@@ -287,7 +287,7 @@ class TestClose:
 
             def push(i):
                 go.wait()
-                accepted[i] = s.push(ws[i]) is not None
+                accepted[i] = ws[i] not in s.push(ws[i])
 
             ts = [threading.Thread(target=push, args=(i,))
                   for i in range(len(ws))]

@@ -94,10 +94,12 @@ class TestAdmit:
         assert s.integral(now) == pytest.approx(1.0)
 
     def test_clamp_zero_terminates(self):
-        # a store that may keep nothing is born closed: it refuses every push
+        # a store that may keep nothing is born closed: it refuses every
+        # push, handing the pusher back to exit
         s = IdleStore(RetentionConfig(policy=Policy.CLAMP, clamp_size=0))
         assert s.closed
-        assert s.push(FakeWorker(0), now=0) is None
+        w = FakeWorker(0)
+        assert s.push(w, now=0) == (w,)
         assert (s.count, s.peak) == (0, 0)
 
     def test_clamp_under_limit_no_eviction(self):
@@ -169,13 +171,13 @@ def run_script_pair(cfg, events):
             tag = next_tag[0]
             next_tag[0] += 1
             w = FakeWorker(tag)
-            evicted = store.push(w, now=ev.t)
-            if evicted is not None:
+            evicted = list(store.push(w, now=ev.t))
+            if w in evicted:  # refused: the closed store hands it back
+                assert out.admitted is None and evicted == [w]
+                evicted = []
+            else:
                 assert out.admitted == tag
                 by_tag[tag] = w
-            else:
-                assert out.admitted is None
-                evicted = []
             assert [e.worker_id for e in evicted] == out.evicted
             for e in evicted:
                 by_tag.pop(e.worker_id)

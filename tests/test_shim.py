@@ -24,8 +24,8 @@ import weakref
 import pytest
 
 import threadcache.shim as shim
-from threadcache import (Policy, RetentionConfig, ThreadCache, current_task,
-                         logical_exit)
+from threadcache import (Policy, RetentionConfig, ThreadCache, UsageError,
+                         current_task, logical_exit)
 
 from conftest import net_new_objects, one_cpu, reap_child, wait_until
 
@@ -1026,6 +1026,17 @@ class TestShimCaching:
     def test_start_new_thread_rejects_non_tuple(self, shimmed):
         with pytest.raises(TypeError):
             _thread.start_new_thread(lambda: None, [1, 2])
+
+    def test_raw_start_task_handle_is_joinable_once(self, shimmed):
+        # the shim keeps no handle for a raw start and does not detach it:
+        # the task's own handle, read through current_task(), joins once
+        seen = []
+        _thread.start_new_thread(lambda: seen.append(current_task()), ())
+        assert wait_until(lambda: seen)
+        h, = seen
+        assert h.wait(5.0) and h.join() is None
+        with pytest.raises(UsageError):
+            h.join()
 
     def test_default_runtime_used_when_unspecified(self, monkeypatch):
         monkeypatch.setenv("THREADCACHE", "1")
