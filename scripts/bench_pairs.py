@@ -17,7 +17,8 @@ second tree did better (ties count for neither side). A metric is flagged
   least nine in ten and the medians differ by more than the first tree's
   quartile spread,
 * ``unresolved`` when the first tree's own quartile spread exceeds the
-  bound, so a move within the bound could not be told from noise.
+  bound, so a move of the size of the bound could not be told from noise;
+  next to ``WORSE`` it marks a verdict that rests on that noise.
 
 With ``--trace 1`` the runs are traced and the per-layer metrics are
 compared the same way, without bounds. The exit code is 1 when any run
@@ -84,8 +85,7 @@ def compare(metric: dict, base, change) -> dict:
     if len(base) >= 10 and wins >= 0.9 * len(base) \
             and -worse_by * bmed > spread:
         flags.append("GAIN")
-    if bound is not None and bmed and spread / bmed > bound \
-            and "WORSE" not in flags:
+    if bound is not None and bmed and spread / bmed > bound:
         flags.append("unresolved")
     return {"name": metric["name"], "unit": metric.get("unit", ""),
             "base": [bq1, bmed, bq3], "change": [cq1, cmed, cq3],

@@ -4,10 +4,14 @@ push applies the retention clamp, stamps ``idle_since`` (monotonic ns) and
 appends, all under the lock; pop takes the newest from the end, and the
 culls slice from the front. The lock also guards the exact peak depth and
 the count of successful pops (the runtime's cache hits). The idle integral
-is summed over the stamps when it is read, by the reaper only, so the hit
-path keeps no running total. ``close`` drains the store; a closed store
+is summed over the stamps when it is read, by a retention pass only, so the
+hit path keeps no running total. ``close`` drains the store; a closed store
 hands every later pusher back to exit, and is how a runtime keeps nothing,
 whether it was shut down, built uncached, clamped to 0 or forked from a task.
+Under a reaping policy the front (oldest) worker is the ``timer``, which
+parks with a timeout and runs the retention passes: a push onto an empty
+store claims the role, the pop of the last worker clears it, and
+``keep_timer`` keeps a culled timer at the front in the new front's stead.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -38,6 +42,8 @@ class IdleStore:
         self._peak = 0
         self._pops = 0
         self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
+        self._timed = cfg.needs_reaper  # whether the front times the passes
+        self.timer = None  # the front worker, when the store is timed
 
     # push and pop run on every cache hit, so they call acquire/release
     # directly: about half the cost of a ``with`` block on CPython 3.11
@@ -55,6 +61,8 @@ class IdleStore:
             if len(items) >= self._clamp:
                 evicted = self._take_front(
                     _retention.admit(len(items), self._retention))
+            elif self._timed and not items:
+                self.timer = worker
             if now is None:
                 now = time.monotonic_ns()
             worker.idle_since = now
@@ -74,6 +82,8 @@ class IdleStore:
             if not items:
                 return None
             w = items.pop()
+            if w is self.timer:  # the last worker
+                self.timer = None
             self._pops += 1
             return w
         finally:
@@ -105,6 +115,7 @@ class IdleStore:
         """Drain the store and refuse later pushes; returns the drained."""
         with self._lock:
             self._closed = True
+            self.timer = None
             return self._take_front(len(self._items))
 
     def after_fork(self):
@@ -112,6 +123,20 @@ class IdleStore:
         keeping the pop count and peak."""
         self._lock._at_fork_reinit()
         self._items.clear()
+        self.timer = None
+
+    def keep_timer(self, culled: List) -> List:
+        """A timer in ``culled`` takes the new front's place and stamp, and
+        that worker exits instead; returns the workers that must exit."""
+        with self._lock:
+            t, items = self.timer, self._items
+            if culled and culled[0] is t:
+                if items:
+                    t.idle_since = items[0].idle_since
+                    items[0], culled[0] = t, items[0]
+                else:
+                    self.timer = None
+            return culled
 
     def integral(self, now: int) -> float:
         """Sum of idle ages of the stored workers at now, in thread-seconds;

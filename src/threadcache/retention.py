@@ -12,9 +12,9 @@ Four policies decide which idle workers are kept:
 * ``INTEGRAL_BUDGET`` — admit everything; reap culls oldest-first until the
   thread-seconds integral of the idle list drops to ``budget``.
 
-Only the two reaping policies need the runtime's background reaper. An idle
-worker holds nothing but its OS thread; that thread's stack is the thread
-library's, which keeps the stacks of exited threads for reuse by new ones.
+Only the two reaping policies give their store a timer, its oldest idle
+worker, to run passes. An idle worker holds nothing but its OS thread, whose
+stack the thread library keeps for reuse by a new thread once it exits.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ A runtime whose idle store is closed keeps nothing: every spawn is a
 physical create and every exit a physical exit. ``shutdown`` closes it, as
 do ``THREADCACHE=0`` (``enabled=False``), a clamp of 0 and a fork in a task.
 
-A forked child starts with the forking thread alone: the at-fork hook
-starts no thread, and the child's reaper starts with its first create.
+A runtime starts no thread of its own: under a reaping policy the store's
+oldest idle worker, its timer, runs each retention pass. A forked child
+starts with the forking thread alone: the at-fork hook starts no thread.
 """
 
 from __future__ import annotations
@@ -253,8 +254,7 @@ class ThreadCache:
 
     All public operations are safe to call from any thread. Handles may be
     joined from a thread other than the spawner. Retention passes run on
-    the runtime's one reaper thread, started with it when its policy
-    reaps.
+    the store's timer, the oldest idle worker, when the policy reaps.
     """
 
     def __init__(self, enabled: Optional[bool] = None,
@@ -271,10 +271,11 @@ class ThreadCache:
         self._misses = 0  # spawns past the shutdown check that found no idle
         self._creates = 0
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
-        self._stop_event = threading.Event()
-        # the reaper thread; False if the runtime runs none, and None in a
-        # forked child until its first create decides
-        self._reaper = self._start_reaper()
+        self._closed = False  # set by shutdown
+        self._period_ns = int(  # a park may wait at most TIMEOUT_MAX
+            min(self._retention.reap_period, threading.TIMEOUT_MAX) * 1e9)
+        self._next_reap = time.monotonic_ns() + self._period_ns
+        self._pass_lock = _thread.allocate_lock()  # no two passes overlap
         _runtimes.add(self)
 
     # -- public API -------------------------------------------------------
@@ -287,7 +288,7 @@ class ThreadCache:
     @property
     def closed(self) -> bool:
         """True once shutdown has begun; later spawns raise UsageError."""
-        return self._stop_event.is_set()
+        return self._closed
 
     def spawn(self, entry: Callable, arg: Any = _NO_ARG) -> JoinHandle:
         """Start a logical thread; reuses an idle worker when one exists.
@@ -309,10 +310,8 @@ class ThreadCache:
         # registered and counted before start: an uncached worker can
         # exit, and unregister itself, before spawn returns
         with self._count_lock:
-            if self._stop_event.is_set():
+            if self._closed:
                 raise UsageError("spawn after shutdown")
-            if self._reaper is None:
-                self._reaper = self._start_reaper()
             wid = self._misses = self._misses + 1
             w = self._live[wid] = Worker(wid, task)
             self._creates += 1
@@ -349,20 +348,18 @@ class ThreadCache:
                           current_idle=store.count, peak_idle=store.peak)
 
     def shutdown(self, join: bool = True, timeout: float = 5.0):
-        """Terminate idle workers and the reaper; running tasks finish first.
+        """Terminate idle workers; running tasks finish first.
 
         Closing the store drains it in one step; a worker that finishes its
         task afterwards is refused by it and terminates itself. With
         ``join`` it waits, up to ``timeout`` in all, for every live worker
         to exit but the calling one, which exits once its task returns.
         """
-        self._stop_event.set()
+        self._closed = True
         for w in self._store.close():
             self._terminate_worker(w)
         if join:
             deadline = time.monotonic() + timeout
-            if self._reaper:
-                self._reaper.join(max(0.0, deadline - time.monotonic()))
             me = threading.get_ident()
             with self._count_lock:
                 workers = [w for w in self._live.values() if w._ident != me]
@@ -371,25 +368,14 @@ class ThreadCache:
 
     # -- internals --------------------------------------------------------
 
-    def _start_reaper(self):
-        """The reaper, started, if the policy needs one and the store is
-        open, else False: with the runtime, and at a forked child's first
-        create."""
-        if not (self._retention.needs_reaper and self.enabled):
-            return False
-        reaper = _OSThread(target=self._reaper_loop,
-                           name="threadcache-reaper", daemon=True)
-        reaper.start()
-        return reaper
-
     def _terminate_worker(self, w: Worker):
         w._park_lock.release()  # woken with no task: it exits
 
     def _dispatch_loop(self, worker: Worker, started):
         """The worker's thread: run its task, clear the handle's entry and
-        arg, fire the latch, then park on the store until the next task. It
-        exits only when terminated, woken with no task: by whoever takes it
-        from the store, or by itself when the closed store refuses it."""
+        arg, fire the latch, then park on the store until the next task, or
+        as its timer until a pass is due. It exits only when woken with no
+        task: by whoever takes it from the store, or by itself."""
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
@@ -405,6 +391,7 @@ class ThreadCache:
         task = worker.task
         park = worker._park_lock
         store = self._store
+        timed = store._timed  # whether a worker may become the timer
         _current.worker = worker
         while True:
             try:
@@ -426,7 +413,13 @@ class ThreadCache:
                 for w in exiting:
                     self._terminate_worker(w)
                 exiting = w = None  # a parked worker holds no other worker
-            park.acquire()  # until the next task or a terminate; re-arms
+            while timed and worker is store.timer:
+                wait = (self._next_reap - time.monotonic_ns()) / 1e9
+                if wait > 0 and park.acquire(True, wait):
+                    break  # woken, and re-armed
+                self._reap_pass()
+            else:
+                park.acquire()  # until the next task or a terminate; re-arms
             task = worker.task
             if task is None:  # woken by _terminate_worker
                 break
@@ -436,19 +429,22 @@ class ThreadCache:
             threading._active.pop(ident, None)
         worker._tstate_lock.release()
 
-    def _reaper_loop(self):
-        """Run a retention pass each ``reap_period`` and stop the workers it
-        culls. This thread is the only code that reaps: one starts with the
-        runtime, and one at the first create in a forked child, where the
-        parent's is gone, so no two passes overlap."""
-        cfg = self._retention
-        while not self._stop_event.wait(cfg.reap_period):
+    def _reap_pass(self):
+        """The pass due at ``_next_reap``; a timer popped mid-pass may hold
+        the lock as the next one's park times out, so re-check it is due."""
+        with self._pass_lock:
+            now = time.monotonic_ns()
+            if now < self._next_reap:
+                return
+            self._next_reap = now + self._period_ns
             try:
-                for w in _retention.reap(self._store, time.monotonic_ns(),
-                                         cfg):
-                    self._terminate_worker(w)
+                culled = self._store.keep_timer(
+                    _retention.reap(self._store, now, self._retention))
             except Exception:
-                log.exception("reaper pass failed")
+                log.exception("retention pass failed")
+                return
+        for w in culled:
+            self._terminate_worker(w)
 
 
 _runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()
@@ -458,19 +454,20 @@ def _after_fork_in_child():
     """Only the forking thread survives a fork. Each runtime forgets the
     workers that did not fork, so they count culled, stops those that
     ``threading._after_fork`` did not (not yet started, or running a
-    shimmed thread, which holds their entry in ``threading._active``),
-    empties its store and forgets its reaper: the hook starts no thread,
-    and the child's first create starts a reaper if the policy reaps. In a
+    shimmed thread, which holds their entry in ``threading._active``) and
+    empties its store, timer included: the hook starts no thread, and the
+    child's first worker to park claims the timer if the policy reaps. In a
     child forked from a task every runtime closes its store, so the forking
     worker exits after its task, as a forked ``threading.Thread`` does, and
-    no worker parks and no reaper starts that would outlive the task and
-    keep the child from ending. A task that a forgotten worker was running
+    no worker parks that would outlive the task and keep the child from
+    ending. A task that a forgotten worker was running
     never finishes in the child, so its handle completes there as poisoned
     and a wait or join on it returns at once."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
         rt._count_lock._at_fork_reinit()
+        rt._pass_lock._at_fork_reinit()
         rt._store.after_fork()
         if from_worker:
             rt._store.close()
@@ -483,8 +480,6 @@ def _after_fork_in_child():
                     task._value = _Poisoned(RuntimeError(
                         "the task's thread did not survive fork()"))
                 task._latch._at_fork_reinit()  # released: the task is done
-        rt._stop_event._at_fork_reinit()
-        rt._reaper = None  # the first create starts one, if the policy reaps
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)

@@ -105,3 +105,28 @@ def runtime():
     yield make
     for rt in rts:
         rt.shutdown(join=False)
+
+
+def counted_reap(monkeypatch, store):
+    """Wrap ``retention.reap`` for one test: the times of the passes over
+    store that entered it, the workers they culled and the most that ran at
+    once."""
+    from threadcache import retention
+    orig = retention.reap
+    seen = {"passes": [], "culled": 0, "running": 0, "most": 0}
+
+    def reap(s, now, cfg):
+        if s is not store:
+            return orig(s, now, cfg)
+        seen["passes"].append(now)
+        seen["running"] += 1
+        seen["most"] = max(seen["most"], seen["running"])
+        try:
+            out = orig(s, now, cfg)
+            seen["culled"] += len(out)
+            return out
+        finally:
+            seen["running"] -= 1
+
+    monkeypatch.setattr(retention, "reap", reap)
+    return seen

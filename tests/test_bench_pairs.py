@@ -87,6 +87,11 @@ class TestUnresolved:
     def test_base_spread_within_the_bound(self, metric):
         assert flags(metric, BASE, BASE) == []
 
+    def test_worse_beyond_a_wide_spread_keeps_both_flags(self, metric):
+        # the exit code still follows WORSE; unresolved says it may be noise
+        assert flags(metric, WIDE, moved(metric, WIDE, 0.60)) == \
+            ["WORSE", "unresolved"]
+
 
 def test_direction_flips_every_verdict():
     up, down = moved(LOWER, BASE, 0.30), moved(LOWER, BASE, -0.30)

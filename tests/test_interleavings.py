@@ -10,7 +10,7 @@ import time
 from threadcache import Policy, RetentionConfig, current_task, retention
 from threadcache.idle_store import IdleStore
 
-from conftest import wait_until
+from conftest import counted_reap, quiescent, wait_until
 from interleave import hold
 
 
@@ -41,9 +41,10 @@ class TestShutdownRace:
 class TestReapRace:
     def test_pop_held_across_a_cull_never_wakes_the_culled(self, runtime,
                                                            monkeypatch):
-        # a spawner that reads a store of one idle worker, and the reaper
-        # culls that worker before the spawner's pop: the task must go to
-        # a new worker, and the culled one must exit without running it
+        # a spawner that reads a store of one idle worker, and that worker,
+        # the store's timer, culls itself in its own pass before the
+        # spawner's pop: the task must go to a new worker, and the culled
+        # one must exit without running it
         age = 0.05
         cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=age,
                               reap_period=0.005)
@@ -58,12 +59,12 @@ class TestReapRace:
         def pops_one(s):
             return s is store and s.count == 1
 
-        with hold(monkeypatch, retention, "reap", when=culls_one) as reaper, \
+        with hold(monkeypatch, retention, "reap", when=culls_one) as timer, \
                 hold(monkeypatch, IdleStore, "pop", when=pops_one) as spawner:
             first = rt.spawn(lambda: None)
             first.join()
             culled = first.worker
-            reaper.wait_held()
+            timer.wait_held()
             ran_on = []
 
             def task():
@@ -74,7 +75,7 @@ class TestReapRace:
             t = threading.Thread(target=lambda: out.append(rt.spawn(task)))
             t.start()
             spawner.wait_held()
-            reaper.release()
+            timer.release()
             culled.join(1.0)
             assert not culled.is_alive()
             assert rt.stats().current_idle == 0
@@ -85,3 +86,95 @@ class TestReapRace:
         assert ran_on == [h.worker] and h.worker is not culled
         s = rt.stats()
         assert (s.cache_hits, s.physical_creates) == (0, 2)
+
+
+class TestTimer:
+    """The store's front worker times and runs every retention pass."""
+
+    def test_timer_popped_mid_pass_overlaps_no_pass(self, runtime,
+                                                    monkeypatch):
+        # the timer is held at the entry of its pass and a spawn pops it;
+        # the next worker to park claims the timer and its park times out,
+        # but its pass waits for the held one, which culls it once let go
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=60.0,
+                              reap_period=0.005)
+        rt = runtime(enabled=True, retention=cfg)
+        store = rt._store
+        seen = counted_reap(monkeypatch, store)
+        mine = lambda s, *a: s is store  # noqa: E731
+        with hold(monkeypatch, retention, "reap", when=mine) as gate:
+            rt.spawn(lambda: None).join()
+            gate.wait_held()
+            first = store.timer
+            ran_on = []
+
+            def task():
+                ran_on.append(current_task().worker)
+                return 7
+
+            h = rt.spawn(task)  # pops the held timer: the store is empty
+            assert h.worker is first and store.timer is None
+            rt.spawn(lambda: None).join()  # a create, which parks
+            assert wait_until(lambda: store.timer is not None)
+            second = store.timer
+            assert second is not first
+            second.idle_since = 0  # idle for ever: the held pass culls it
+            time.sleep(0.05)  # ten periods: second's park has timed out
+            assert seen["passes"] == [] and not h.wait(0)
+        assert h.join() == 7 and ran_on == [first]
+        second.join(1.0)
+        assert not second.is_alive()
+        assert wait_until(lambda: quiescent(rt) and store.timer is first)
+        s = rt.stats()
+        assert (s.physical_creates, s.physical_culls, s.current_idle) == \
+            (2, 1, 1)
+        assert seen["culled"] == 1 and seen["most"] == 1
+
+    def test_timer_culled_with_a_survivor_keeps_its_place(self, runtime):
+        # AgeOut with two idle workers whose ages straddle max_idle_age:
+        # the pass culls the timer, which stays at the front with the
+        # survivor's stamp while the survivor exits in its stead
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=60.0,
+                              reap_period=0.005)
+        rt = runtime(enabled=True, retention=cfg)
+        store = rt._store
+        go = threading.Event()
+        handles = [rt.spawn(go.wait, 5.0) for _ in range(2)]
+        go.set()
+        assert all(h.join() for h in handles)
+        assert wait_until(lambda: store.count == 2)
+        timer = store.timer
+        young, = [h.worker for h in handles if h.worker is not timer]
+        assert store.snapshot() == [young, timer]
+        stamp = young.idle_since
+        timer.idle_since = 0  # older than max_idle_age; young is not
+        young.join(1.0)
+        assert not young.is_alive()
+        s = rt.stats()
+        assert (s.physical_culls, s.current_idle) == (1, 1)
+        assert store.snapshot() == [timer] and store.timer is timer
+        assert timer.idle_since == stamp and timer.is_alive()
+
+    def test_shutdown_during_a_pass_leaves_no_worker_parked(self, runtime,
+                                                           monkeypatch):
+        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET, budget=60.0,
+                              reap_period=0.005)
+        rt = runtime(enabled=True, retention=cfg)
+        store = rt._store
+        mine = lambda s, *a: s is store  # noqa: E731
+        with hold(monkeypatch, retention, "reap", when=mine) as gate:
+            go = threading.Event()
+            handles = [rt.spawn(go.wait, 5.0) for _ in range(3)]
+            go.set()
+            assert all(h.join() for h in handles)
+            gate.wait_held()
+            workers = [h.worker for h in handles]
+            rt.shutdown(join=False)
+            assert store.timer is None and store.count == 0
+        t0 = time.monotonic()
+        rt.shutdown(join=True, timeout=1.0)
+        assert time.monotonic() - t0 < 1.0
+        assert not any(w.is_alive() for w in workers)
+        assert rt._live == {}
+        s = rt.stats()
+        assert (s.physical_culls, s.current_idle) == (3, 0)

@@ -1,8 +1,10 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
 import gc
+import json
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -17,8 +19,8 @@ from threadcache import (DeadlockError, Policy, RetentionConfig, SpawnError,
                          TaskPoisoned, ThreadCache, UsageError, current_task,
                          logical_exit)
 
-from conftest import (net_new_objects, one_cpu, quiescent, reap_child,
-                      wait_until)
+from conftest import (counted_reap, net_new_objects, one_cpu, quiescent,
+                      reap_child, wait_until)
 
 
 def test_package_root_exports_only_the_api():
@@ -493,7 +495,8 @@ class TestFork:
 
     def test_child_forked_from_a_task_exits_when_the_task_returns(
             self, runtime):
-        # under a reaping policy, too: no reaper starts in this child
+        # under a reaping policy, too: no worker parks as a timer in this
+        # child
         rt = runtime(enabled=True,
                      retention=RetentionConfig(policy=Policy.AGE_OUT))
         idle_workers(rt, 3)
@@ -614,7 +617,8 @@ class TestFork:
         cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=60.0)
         rt = runtime(enabled=True, retention=cfg)
         idle_workers(rt, 2)
-        assert rt._reaper.is_alive()
+        timer = rt._store.timer  # parked with a timeout: it runs the passes
+        assert timer is not None and timer.is_alive()
         pid = os.fork()
         if pid == 0:  # the forking thread alone, until the first create
             os._exit(0 if len(sys._current_frames()) == 1 else 1)
@@ -754,6 +758,46 @@ class TestTinySwitchInterval:
         assert len({w.worker_id for w in idle}) == len(idle)
         assert rt.stats().physical_culls == 0  # Unbounded: no worker exits
         assert rt.stats().peak_idle <= s.physical_creates
+
+    def test_timer_passes_under_concurrent_churn(self, runtime,
+                                                 monkeypatch):
+        # a budget so small that every pass culls: timers are claimed,
+        # popped, culled and replaced while 8 creators churn; passes never
+        # overlap, and every exit is a cull that one pass returned
+        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET, budget=0.0005,
+                              reap_period=0.001)
+        rt = runtime(enabled=True, retention=cfg)
+        seen = counted_reap(monkeypatch, rt._store)
+        made = [0] * 8
+        stop = threading.Event()
+
+        def creator(i):
+            while not stop.is_set():
+                rt.spawn(lambda: None).join()
+                made[i] += 1
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ts = [threading.Thread(target=creator, args=(i,))
+                  for i in range(len(made))]
+            for t in ts:
+                t.start()
+            time.sleep(0.5)
+            stop.set()
+            for t in ts:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in ts)
+        # idle workers age out until none is left, the timer last
+        assert wait_until(lambda: rt._live == {}, timeout=5.0)
+        s = rt.stats()
+        assert s.spawns_total == sum(made) > 0
+        assert s.spawns_total == s.cache_hits + s.physical_creates
+        assert s.current_idle == 0 and rt._store.timer is None
+        assert seen["culled"] == s.physical_culls == s.physical_creates > 1
+        assert seen["most"] == 1
 
 
 class TestShutdown:
@@ -986,6 +1030,87 @@ class TestRetentionIntegration:
                     rt.shutdown(join=True)
         finally:
             sys.setswitchinterval(old)
+
+
+_THREAD_COUNT_SCRIPT = """
+import json, os, threading, time
+from threadcache import Policy, RetentionConfig, ThreadCache
+
+def counts():
+    return len(os.listdir("/proc/self/task")), threading.active_count()
+
+start = counts()
+for policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET):
+    while counts() != start:  # the last runtime's threads are still ending
+        time.sleep(0.001)
+    before = counts()
+    rt = ThreadCache(enabled=True,
+                     retention=RetentionConfig(policy=policy, reap_period=0.01))
+    built = counts()
+    go = threading.Event()
+    handles = [rt.spawn(go.wait, 5.0) for _ in range(3)]
+    go.set()
+    assert all(h.join() for h in handles)
+    while rt.stats().current_idle < 3:
+        time.sleep(0.001)
+    time.sleep(0.05)  # five periods: a thread started by a pass would show
+    print(json.dumps([policy.name, before, built, counts()]))
+    rt.shutdown(join=True)
+"""
+
+
+class TestRetentionTimer:
+    """Retention passes run on the store's timer, not on a thread of their
+    own: a reaping runtime starts no thread and passes only while a worker
+    is idle."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task")
+    def test_reaping_runtime_starts_no_thread(self):
+        # in a fresh process, where no other test's thread comes or goes
+        src = os.path.dirname(os.path.dirname(threadcache.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            policy, before, built, idle = json.loads(line)
+            # OS threads and threading's count: none added by the
+            # constructor, and one per idle worker
+            assert built == before, policy
+            assert idle == [before[0] + 3, before[1] + 3], policy
+
+    def test_idle_runtime_makes_no_pass(self, runtime, monkeypatch):
+        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET,
+                              reap_period=0.01)
+        rt = runtime(enabled=True, retention=cfg)
+        passes = counted_reap(monkeypatch, rt._store)["passes"]
+        time.sleep(0.1)  # no worker at all
+        go = threading.Event()
+        h = rt.spawn(go.wait, 5.0)
+        time.sleep(0.1)  # one worker, running
+        assert passes == []
+        go.set()
+        assert h.join()
+        assert wait_until(lambda: passes)  # it parks and times the passes
+
+    def test_one_pass_per_period_while_workers_idle(self, runtime,
+                                                    monkeypatch):
+        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET,
+                              reap_period=0.01)
+        rt = runtime(enabled=True, retention=cfg)
+        idle_workers(rt, 3)
+        passes = counted_reap(monkeypatch, rt._store)["passes"]
+        time.sleep(0.3)
+        n = len(passes)
+        assert 10 <= n <= 32, n  # 30 due; a loaded host may delay some
+        gaps = [b - a for a, b in zip(passes, passes[1:])]
+        assert min(gaps) > 0.005e9, gaps  # never two in one period
+        assert rt.stats().current_idle == 3
 
 
 # ---------------------------------------------------------------------------

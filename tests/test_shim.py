@@ -1014,8 +1014,9 @@ class TestShimCaching:
             t = threading.Thread(target=lambda: None)
             t.start()
             t.join()
-            # the reaper (a real OS thread) culls the idle worker while the
-            # shim is installed; no deadlock, no recursion into spawn
+            # the idle worker, the store's timer, culls itself in its own
+            # pass while the shim is installed; no deadlock, no recursion
+            # into spawn
             assert wait_until(lambda: rt.stats().physical_culls >= 1,
                               timeout=3.0)
             assert rt.stats().spawns_total == 1
