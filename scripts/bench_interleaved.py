@@ -31,6 +31,17 @@ interpreter exit waits on, as for a real ``Thread``.
 Unlike ``bench_pairs.py`` this cannot see rss, thread counts or set-up
 time, which need a process per run. Every join is checked; a wrong value
 exits non-zero.
+
+With ``--retention`` it times the retention pass instead. Each block
+builds, in each tree in turn and alternating order, a runtime under
+IntegralBudget with a ``REAP_PERIOD_S`` period, parks ``IDLE_WORKERS``
+idle workers on it, and measures the process CPU per second of a
+``WINDOW_S`` sleep, then the mean of cached spawn+joins on that runtime,
+and shuts it down before the other tree's turn (its timer would share the
+CPU). It does so under
+each of ``BUDGETS``: 60 thread-s, whose passes cull nothing, and 1
+thread-s, whose passes cull through the window. The report gives
+change ÷ base of both numbers under each budget, with quartiles.
 """
 
 from __future__ import annotations
@@ -44,12 +55,19 @@ import os
 import statistics
 import sys
 import threading
+import time
 from time import perf_counter_ns
 
 BLOCKS = 200  # timed blocks, after one dropped warm-up block
 CHURN_OPS = 2000  # cached spawn+joins (and ping-pongs) per block
 PHYSICAL_OPS = 300  # uncached spawn+joins (and Thread starts) per block
 SHIM_OPS = 1000  # shimmed Thread start+joins per block
+RETENTION_BLOCKS = 100  # timed blocks of --retention
+IDLE_WORKERS = 100  # idle workers parked for each --retention run
+WINDOW_S = 0.2  # the sleep whose process CPU a --retention run reads
+REAP_PERIOD_S = 0.01
+# thread-s: 100 workers idle 10 ms exceed the second, never the first
+BUDGETS = {"keep": 60.0, "cull": 1.0}
 
 
 def load_tree(tree: str, name: str):
@@ -132,15 +150,97 @@ def summary(vals) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def retention_run(tc, budget: float) -> dict:
+    """Process CPU per second of an idle window, and the mean µs of cached
+    spawn+joins, on a fresh IntegralBudget runtime of tc holding
+    IDLE_WORKERS idle workers; and the workers culled meanwhile."""
+    rt = tc.ThreadCache(enabled=True, retention=tc.RetentionConfig(
+        policy=tc.Policy.INTEGRAL_BUDGET, budget=budget,
+        reap_period=REAP_PERIOD_S))
+    try:
+        go = threading.Event()
+        hs = [rt.spawn(go.wait, 5.0) for _ in range(IDLE_WORKERS)]
+        go.set()
+        if not all(h.join() for h in hs):
+            raise SystemExit("a worker was not let go")
+        while True:  # until every live worker is parked
+            st = rt.stats()
+            if st.current_idle == st.physical_creates - st.physical_culls:
+                break
+            time.sleep(0.001)
+        c0, t0 = time.process_time_ns(), perf_counter_ns()
+        time.sleep(WINDOW_S)
+        cpu = (time.process_time_ns() - c0) / (perf_counter_ns() - t0)
+        us = spawn_join_block(rt, CHURN_OPS)
+        return {"cpu_per_s": cpu, "spawn_join_us": us,
+                "culled": rt.stats().physical_culls}
+    finally:
+        rt.shutdown()
+
+
+def retention_main(a, cpu: int) -> int:
+    """The --retention comparison of a.base and a.change."""
+    sides = ("base", "change")
+    tc = {s: load_tree(t, f"threadcache_{s}")
+          for s, t in zip(sides, (a.base, a.change))}
+    rows = []
+    for b in range(RETENTION_BLOCKS + 1):  # block 0 warms up, dropped
+        row = {}
+        for s in (sides if b % 2 else sides[::-1]):
+            for name, budget in BUDGETS.items():
+                for k, v in retention_run(tc[s], budget).items():
+                    row[f"{s}.{name}.{k}"] = v
+        if b:
+            rows.append(row)
+    out = {}
+    for name in BUDGETS:
+        for k in ("cpu_per_s", "spawn_join_us"):
+            ratios = [r[f"change.{name}.{k}"] / r[f"base.{name}.{k}"]
+                      for r in rows]
+            out[f"{name}.{k}.change_over_base"] = {
+                **summary(ratios), "wins": sum(x < 1 for x in ratios),
+                "blocks": len(rows)}
+            for s in sides:
+                out[f"{s}.{name}.{k}"] = summary(
+                    [r[f"{s}.{name}.{k}"] for r in rows])
+        for s in sides:
+            out[f"{s}.{name}.culled"] = summary(
+                [r[f"{s}.{name}.culled"] for r in rows])
+    report(out, rows, cpu, a.out, {
+        "trees": {"base": a.base, "change": a.change}, "mode": "retention",
+        "blocks": RETENTION_BLOCKS, "idle_workers": IDLE_WORKERS,
+        "window_s": WINDOW_S, "budgets": BUDGETS, "reap_period": REAP_PERIOD_S,
+        "spawn_join_ops": CHURN_OPS})
+    return 0
+
+
+def report(out: dict, rows, cpu: int, path, meta: dict):
+    """Print the summary; with path, also write it, meta and every row."""
+    print(f"{len(rows)} blocks on CPU {cpu}; medians [q1, q3]")
+    for key, v in out.items():
+        wins = f"  change won {v['wins']}/{v['blocks']}" if "wins" in v \
+            else ""
+        print(f"{key:<32} {v['median']:9.4g} [{v['q1']:.4g}, {v['q3']:.4g}]"
+              f"{wins}")
+    if path:
+        with open(path, "w") as f:
+            json.dump({**meta, "cpu": cpu, "python": sys.version.split()[0],
+                       "summary": out, "rows": rows}, f, indent=1)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="source tree compared against")
     ap.add_argument("change", help="source tree measured against base")
     ap.add_argument("--json", dest="out", default=None,
                     help="also write every block and the summary here")
+    ap.add_argument("--retention", action="store_true",
+                    help="time retention passes on idle workers instead")
     a = ap.parse_args(argv)
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})  # before any thread: they inherit it
+    if a.retention:
+        return retention_main(a, cpu)
 
     sides = ("base", "change")
     tc = {s: load_tree(t, f"threadcache_{s}")
@@ -191,20 +291,10 @@ def main(argv=None) -> int:
                 "floor"):
         out[f"{key}_us"] = summary([r[key] for r in rows])
 
-    print(f"{len(rows)} blocks on CPU {cpu}; medians [q1, q3]")
-    for key, v in out.items():
-        wins = f"  change won {v['wins']}/{v['blocks']}" if "wins" in v \
-            else ""
-        print(f"{key:<32} {v['median']:9.4g} [{v['q1']:.4g}, {v['q3']:.4g}]"
-              f"{wins}")
-    if a.out:
-        with open(a.out, "w") as f:
-            json.dump({"trees": {"base": a.base, "change": a.change},
-                       "blocks": BLOCKS, "churn_ops": CHURN_OPS,
-                       "physical_ops": PHYSICAL_OPS, "shim_ops": SHIM_OPS,
-                       "cpu": cpu,
-                       "python": sys.version.split()[0], "summary": out,
-                       "rows": rows}, f, indent=1)
+    report(out, rows, cpu, a.out, {
+        "trees": {"base": a.base, "change": a.change}, "blocks": BLOCKS,
+        "churn_ops": CHURN_OPS, "physical_ops": PHYSICAL_OPS,
+        "shim_ops": SHIM_OPS})
     return 0
 
 

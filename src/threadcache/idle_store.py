@@ -3,15 +3,17 @@
 push applies the retention clamp, stamps ``idle_since`` (monotonic ns) and
 appends, all under the lock; pop takes the newest from the end, and the
 culls slice from the front. The lock also guards the exact peak depth and
-the count of successful pops (the runtime's cache hits). The idle integral
-is summed over the stamps when it is read, by a retention pass only, so the
-hit path keeps no running total. ``close`` drains the store; a closed store
-hands every later pusher back to exit, and is how a runtime keeps nothing,
-whether it was shut down, built uncached, clamped to 0 or forked from a task.
-Under a reaping policy the front (oldest) worker is the ``timer``, which
-parks with a timeout and runs the retention passes: a push onto an empty
-store claims the role, the pop of the last worker clears it, and
-``keep_timer`` keeps a culled timer at the front in the new front's stead.
+the count of successful pops (the runtime's cache hits). A retention pass
+sums the stamps when it runs, so the hit path keeps no running total.
+``close`` drains the store; a closed store hands every later pusher back to
+exit, and is how a runtime keeps nothing, whether it was shut down, built
+uncached, clamped to 0 or forked from a task.
+
+Under a reaping policy the front (oldest) worker is the ``timer``: a push
+onto an empty store claims the role, and the pop of the last worker clears
+it. The timer parks until ``due``, then calls ``run_pass``: one hold of the
+lock checks that it is still the timer and due, culls the k oldest that
+``retention.to_cull`` counts, and keeps a culled timer at the front.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -44,6 +46,9 @@ class IdleStore:
         self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
         self._timed = cfg.needs_reaper  # whether the front times the passes
         self.timer = None  # the front worker, when the store is timed
+        self._period = int(  # a park may wait at most TIMEOUT_MAX
+            min(cfg.reap_period, threading.TIMEOUT_MAX) * 1e9)
+        self.due = time.monotonic_ns() + self._period  # the next pass, in ns
 
     # push and pop run on every cache hit, so they call acquire/release
     # directly: about half the cost of a ``with`` block on CPython 3.11
@@ -125,18 +130,22 @@ class IdleStore:
         self._items.clear()
         self.timer = None
 
-    def keep_timer(self, culled: List) -> List:
-        """A timer in ``culled`` takes the new front's place and stamp, and
-        that worker exits instead; returns the workers that must exit."""
+    def run_pass(self, worker, now: int) -> List:
+        """The retention pass, if worker is still the timer and it is due at
+        now; returns the workers that must exit. A culled timer keeps the
+        front with the stamp of the first survivor, which exits instead."""
         with self._lock:
-            t, items = self.timer, self._items
-            if culled and culled[0] is t:
-                if items:
-                    t.idle_since = items[0].idle_since
-                    items[0], culled[0] = t, items[0]
-                else:
-                    self.timer = None
-            return culled
+            if worker is not self.timer or now < self.due:
+                return []
+            self.due = now + self._period
+            items = self._items  # the timer is items[0]
+            k = _retention.to_cull(items, now, self._retention)
+            if k == len(items):
+                self.timer = None
+            elif k:
+                worker.idle_since = items[k].idle_since
+                items[0], items[k] = items[k], worker
+            return self._take_front(k)
 
     def integral(self, now: int) -> float:
         """Sum of idle ages of the stored workers at now, in thread-seconds;

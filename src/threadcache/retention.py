@@ -7,14 +7,16 @@ Four policies decide which idle workers are kept:
   (warmest) worker is admitted and the coldest is evicted. The store
   applies the clamp inside its locked push, so it is exact under
   concurrent exits; a store clamped to 0 keeps nothing and is born closed.
-* ``AGE_OUT``    — admit everything; a periodic reap culls workers idle
+* ``AGE_OUT``    — admit everything; a periodic pass culls workers idle
   longer than ``max_idle_age`` seconds.
-* ``INTEGRAL_BUDGET`` — admit everything; reap culls oldest-first until the
-  thread-seconds integral of the idle list drops to ``budget``.
+* ``INTEGRAL_BUDGET`` — admit everything; a pass culls oldest-first until
+  the thread-seconds integral of the idle list drops to ``budget``.
 
 Only the two reaping policies give their store a timer, its oldest idle
-worker, to run passes. An idle worker holds nothing but its OS thread, whose
-stack the thread library keeps for reuse by a new thread once it exits.
+worker, to run passes. ``to_cull`` is a pass's arithmetic, a pure function
+of the stamps, ``now`` and the config; the store applies it under its lock.
+An idle worker holds nothing but its OS thread, whose stack the thread
+library keeps for reuse by a new thread once it exits.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Sequence
 
 _NS = 1_000_000_000
 
@@ -82,36 +84,35 @@ class RetentionConfig:
 def admit(depth: int, cfg: RetentionConfig) -> int:
     """How many of the oldest idle workers CLAMP evicts so that one more,
     the warmest, joins a store holding ``depth``. AGE_OUT and
-    INTEGRAL_BUDGET cull in reap; a clamp of 0 never asks: its store is
+    INTEGRAL_BUDGET cull in a pass; a clamp of 0 never asks: its store is
     closed."""
     if cfg.policy is not Policy.CLAMP:
         return 0
     return max(0, depth + 1 - cfg.clamp_size)
 
 
-def reap(store, now: int, cfg: RetentionConfig) -> List:
-    """Periodic cull pass; returns the workers removed (oldest first).
-
-    `now` is frozen for the whole pass: age and integral checks all use the
-    same instant, so a pass terminates and its post-state is well defined.
-    """
-    pol = cfg.policy
+def to_cull(items: Sequence, now: int, cfg: RetentionConfig) -> int:
+    """How many of the oldest idle workers a pass at ``now`` culls; items
+    are the idle workers, oldest first. AGE_OUT counts the front run idle
+    longer than ``max_idle_age``; INTEGRAL_BUDGET counts the oldest whose
+    removal brings the integral within budget. The integral is summed in
+    integer ns and divided once by 1e9 at each step."""
+    pol, k = cfg.policy, 0
     if pol is Policy.AGE_OUT:
-        return store.cull_older_than(now - int(cfg.max_idle_age * _NS))
-    if pol is Policy.INTEGRAL_BUDGET:
-        if store.integral(now) <= cfg.budget:  # the usual pass
-            return []
-        # one pass over one snapshot: count the oldest workers whose removal
-        # brings the integral within budget, then cull them in one call.
-        # Concurrent spawns pop only the newest, so the k oldest stay the
-        # same workers unless the store drains meanwhile.
-        snap = store.snapshot()  # newest first
-        total_ns = len(snap) * now - sum(w.idle_since for w in snap)
-        k = 0
-        for w in reversed(snap):
-            if total_ns / 1e9 <= cfg.budget:
-                break
-            total_ns -= now - w.idle_since
+        cutoff = now - int(cfg.max_idle_age * _NS)
+        while k < len(items) and items[k].idle_since < cutoff:
             k += 1
-        return store.cull_oldest(k)
-    return []
+    elif pol is Policy.INTEGRAL_BUDGET:
+        total_ns = len(items) * now - sum(w.idle_since for w in items)
+        while k < len(items) and total_ns / 1e9 > cfg.budget:
+            total_ns -= now - items[k].idle_since
+            k += 1
+    return k
+
+
+def reap(store, now: int, cfg: RetentionConfig) -> List:
+    """One cull of store under cfg at ``now``, in one hold of its lock;
+    returns the workers removed (oldest first). The timer's own pass is
+    ``IdleStore.run_pass``."""
+    with store._lock:
+        return store._take_front(to_cull(store._items, now, cfg))

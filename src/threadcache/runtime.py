@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from threading import Thread as _OSThread  # real class; immune to shim patching
 from typing import Any, Callable, Dict, Optional
 
-from . import retention as _retention
 from .idle_store import IdleStore
 from .retention import RetentionConfig
 
@@ -261,9 +260,8 @@ class ThreadCache:
                  retention: Optional[RetentionConfig] = None):
         if enabled is None:
             enabled = os.environ.get("THREADCACHE", "1") != "0"
-        self._retention = retention if retention is not None \
-            else RetentionConfig.from_env()
-        self._store = IdleStore(self._retention)
+        self._store = IdleStore(retention if retention is not None
+                                else RetentionConfig.from_env())
         if not enabled:
             self._store.close()
         # cold-path counters; cache hits are counted by the store's pops
@@ -272,10 +270,6 @@ class ThreadCache:
         self._creates = 0
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
         self._closed = False  # set by shutdown
-        self._period_ns = int(  # a park may wait at most TIMEOUT_MAX
-            min(self._retention.reap_period, threading.TIMEOUT_MAX) * 1e9)
-        self._next_reap = time.monotonic_ns() + self._period_ns
-        self._pass_lock = _thread.allocate_lock()  # no two passes overlap
         _runtimes.add(self)
 
     # -- public API -------------------------------------------------------
@@ -414,10 +408,11 @@ class ThreadCache:
                     self._terminate_worker(w)
                 exiting = w = None  # a parked worker holds no other worker
             while timed and worker is store.timer:
-                wait = (self._next_reap - time.monotonic_ns()) / 1e9
+                # an unlocked read: run_pass decides under the lock
+                wait = (store.due - time.monotonic_ns()) / 1e9
                 if wait > 0 and park.acquire(True, wait):
                     break  # woken, and re-armed
-                self._reap_pass()
+                self._reap_pass(worker)
             else:
                 park.acquire()  # until the next task or a terminate; re-arms
             task = worker.task
@@ -429,20 +424,13 @@ class ThreadCache:
             threading._active.pop(ident, None)
         worker._tstate_lock.release()
 
-    def _reap_pass(self):
-        """The pass due at ``_next_reap``; a timer popped mid-pass may hold
-        the lock as the next one's park times out, so re-check it is due."""
-        with self._pass_lock:
-            now = time.monotonic_ns()
-            if now < self._next_reap:
-                return
-            self._next_reap = now + self._period_ns
-            try:
-                culled = self._store.keep_timer(
-                    _retention.reap(self._store, now, self._retention))
-            except Exception:
-                log.exception("retention pass failed")
-                return
+    def _reap_pass(self, worker: Worker):
+        """The store's pass, if worker is still its timer and it is due."""
+        try:
+            culled = self._store.run_pass(worker, time.monotonic_ns())
+        except Exception:
+            log.exception("retention pass failed")
+            return
         for w in culled:
             self._terminate_worker(w)
 
@@ -467,7 +455,6 @@ def _after_fork_in_child():
     from_worker = _current.worker is not None
     for rt in list(_runtimes):
         rt._count_lock._at_fork_reinit()
-        rt._pass_lock._at_fork_reinit()
         rt._store.after_fork()
         if from_worker:
             rt._store.close()

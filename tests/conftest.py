@@ -72,10 +72,16 @@ def quiescent(rt):
     """Every worker the runtime made is idle or has exited:
     creates - culls == live workers == idle workers. The first equality
     holds by construction, since culls are creates minus live workers;
-    live == idle is the part that can fail."""
+    live == idle is the part that can fail. The store's timer is then its
+    oldest idle worker under a reaping policy, and None otherwise."""
     s = rt.stats()
+    store = rt._store
+    with store._lock:
+        items = store._items
+        timer_ok = store.timer is (items[0] if store._timed and items
+                                   else None)
     return (s.physical_creates - s.physical_culls == len(rt._live)
-            == s.current_idle)
+            == s.current_idle) and timer_ok
 
 
 def net_new_objects(op, n, settle):
@@ -108,25 +114,25 @@ def runtime():
 
 
 def counted_reap(monkeypatch, store):
-    """Wrap ``retention.reap`` for one test: the times of the passes over
+    """Wrap ``retention.to_cull`` for one test: the times of the passes over
     store that entered it, the workers they culled and the most that ran at
     once."""
     from threadcache import retention
-    orig = retention.reap
+    orig = retention.to_cull
     seen = {"passes": [], "culled": 0, "running": 0, "most": 0}
 
-    def reap(s, now, cfg):
-        if s is not store:
-            return orig(s, now, cfg)
+    def to_cull(items, now, cfg):
+        if items is not store._items:
+            return orig(items, now, cfg)
         seen["passes"].append(now)
         seen["running"] += 1
         seen["most"] = max(seen["most"], seen["running"])
         try:
-            out = orig(s, now, cfg)
-            seen["culled"] += len(out)
-            return out
+            k = orig(items, now, cfg)
+            seen["culled"] += k
+            return k
         finally:
             seen["running"] -= 1
 
-    monkeypatch.setattr(retention, "reap", reap)
+    monkeypatch.setattr(retention, "to_cull", to_cull)
     return seen

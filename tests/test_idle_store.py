@@ -338,6 +338,94 @@ class TestClamp:
             sys.setswitchinterval(old)
 
 
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def acquire(self, *a):
+        self.acquired += 1
+        return self._lock.acquire(*a)
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestRunPass:
+    """The timer's pass: one hold of the lock, with no thread."""
+
+    NS = 1_000_000_000
+    PERIOD = NS // 100
+
+    def timed(self, ages):
+        """An AgeOut store (max age 10 s) holding one worker per age in s,
+        oldest first, at now = 100 s; returns it, the workers and now."""
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=10.0,
+                              reap_period=self.PERIOD / self.NS)
+        s, now = make_store(retention=cfg), 100 * self.NS
+        ws = [FakeWorker(i) for i in range(len(ages))]
+        for w, age in zip(ws, ages):
+            s.push(w, now=now - age * self.NS)
+        s.due = now
+        return s, ws, now
+
+    def test_only_the_timer_passes(self):
+        s, (t, w), now = self.timed([20, 15])
+        assert s.timer is t
+        assert s.run_pass(w, now) == []
+        assert s.due == now and s.count == 2
+
+    def test_a_pass_not_yet_due_culls_nothing(self):
+        s, (t, _), now = self.timed([20, 15])
+        assert s.run_pass(t, now - 1) == []
+        assert s.due == now and s.count == 2
+
+    def test_a_due_pass_advances_due_by_one_period(self):
+        s, (t, w), now = self.timed([5, 1])
+        assert s.run_pass(t, now) == []
+        assert s.due == now + self.PERIOD
+        assert s.snapshot() == [w, t] and s.timer is t
+
+    def test_a_culled_timer_swaps_place_and_stamp_with_a_survivor(self):
+        s, (t, a, b, c), now = self.timed([30, 20, 15, 5])
+        stamp = c.idle_since
+        assert s.run_pass(t, now) == [c, a, b]
+        assert s.snapshot() == [t] and s.timer is t
+        assert t.idle_since == stamp
+
+    def test_a_timer_culled_alone_clears_timer(self):
+        s, ws, now = self.timed([30, 20])
+        assert s.run_pass(ws[0], now) == ws
+        assert s.count == 0 and s.timer is None
+
+    def test_a_pass_that_culls_takes_the_lock_once(self):
+        s, (t, a, b), now = self.timed([30, 20, 5])
+        s._lock = lock = CountingLock()
+        assert s.run_pass(t, now) == [b, a]
+        assert lock.acquired == 1
+
+    def test_an_integral_budget_pass_keeps_the_timer(self):
+        # ages {5,3,1}s, integral 9; budget 4 -> cull the 5 s worker, the
+        # timer, whose place the 3 s worker gives up
+        cfg = RetentionConfig(policy=Policy.INTEGRAL_BUDGET, budget=4.0)
+        s, now = make_store(retention=cfg), 100 * self.NS
+        t, a, b = ws = [FakeWorker(i) for i in range(3)]
+        for w, age in zip(ws, (5, 3, 1)):
+            s.push(w, now=now - age * self.NS)
+        s.due = now
+        stamp = a.idle_since
+        assert s.run_pass(t, now) == [a]
+        assert s.snapshot() == [b, t] and t.idle_since == stamp
+        assert s.integral(now) == 4.0
+
+
 def run_stress(n_ops, pushers, poppers):
     """Element-conservation stress; returns (pushed, popped) multisets."""
     s = IdleStore()

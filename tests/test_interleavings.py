@@ -7,7 +7,7 @@ the operation that must come first, then lets the held thread go on.
 import threading
 import time
 
-from threadcache import Policy, RetentionConfig, current_task, retention
+from threadcache import Policy, RetentionConfig, current_task
 from threadcache.idle_store import IdleStore
 
 from conftest import counted_reap, quiescent, wait_until
@@ -51,15 +51,16 @@ class TestReapRace:
         rt = runtime(enabled=True, retention=cfg)
         store = rt._store
 
-        def culls_one(s, now, c):  # a pass that culls the idle worker
+        def culls_one(s, worker, now):  # a pass that culls the idle worker
             idle = s.snapshot()
-            return s is store and len(idle) == 1 and \
+            return s is store and idle == [worker] and \
                 idle[0].idle_since < now - int(age * 1e9)
 
         def pops_one(s):
             return s is store and s.count == 1
 
-        with hold(monkeypatch, retention, "reap", when=culls_one) as timer, \
+        with hold(monkeypatch, IdleStore, "run_pass", when=culls_one) \
+                as timer, \
                 hold(monkeypatch, IdleStore, "pop", when=pops_one) as spawner:
             first = rt.spawn(lambda: None)
             first.join()
@@ -94,15 +95,16 @@ class TestTimer:
     def test_timer_popped_mid_pass_overlaps_no_pass(self, runtime,
                                                     monkeypatch):
         # the timer is held at the entry of its pass and a spawn pops it;
-        # the next worker to park claims the timer and its park times out,
-        # but its pass waits for the held one, which culls it once let go
+        # the next worker to park claims the timer, and its own pass culls
+        # it; let go, the held pass finds its caller no timer and does
+        # nothing
         cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=60.0,
                               reap_period=0.005)
         rt = runtime(enabled=True, retention=cfg)
         store = rt._store
         seen = counted_reap(monkeypatch, store)
         mine = lambda s, *a: s is store  # noqa: E731
-        with hold(monkeypatch, retention, "reap", when=mine) as gate:
+        with hold(monkeypatch, IdleStore, "run_pass", when=mine) as gate:
             rt.spawn(lambda: None).join()
             gate.wait_held()
             first = store.timer
@@ -118,12 +120,11 @@ class TestTimer:
             assert wait_until(lambda: store.timer is not None)
             second = store.timer
             assert second is not first
-            second.idle_since = 0  # idle for ever: the held pass culls it
-            time.sleep(0.05)  # ten periods: second's park has timed out
-            assert seen["passes"] == [] and not h.wait(0)
+            second.idle_since = 0  # idle for ever: its own pass culls it
+            second.join(1.0)
+            assert not second.is_alive() and store.timer is None
+            assert seen["culled"] == 1 and not h.wait(0)
         assert h.join() == 7 and ran_on == [first]
-        second.join(1.0)
-        assert not second.is_alive()
         assert wait_until(lambda: quiescent(rt) and store.timer is first)
         s = rt.stats()
         assert (s.physical_creates, s.physical_culls, s.current_idle) == \
@@ -154,6 +155,7 @@ class TestTimer:
         assert (s.physical_culls, s.current_idle) == (1, 1)
         assert store.snapshot() == [timer] and store.timer is timer
         assert timer.idle_since == stamp and timer.is_alive()
+        assert quiescent(rt)
 
     def test_shutdown_during_a_pass_leaves_no_worker_parked(self, runtime,
                                                            monkeypatch):
@@ -162,7 +164,7 @@ class TestTimer:
         rt = runtime(enabled=True, retention=cfg)
         store = rt._store
         mine = lambda s, *a: s is store  # noqa: E731
-        with hold(monkeypatch, retention, "reap", when=mine) as gate:
+        with hold(monkeypatch, IdleStore, "run_pass", when=mine) as gate:
             go = threading.Event()
             handles = [rt.spawn(go.wait, 5.0) for _ in range(3)]
             go.set()

@@ -1007,7 +1007,7 @@ class TestRetentionIntegration:
         assert wait_until(lambda: rt.stats().current_idle == 1)
         assert wait_until(lambda: rt.stats().physical_culls == 1,
                           timeout=3.0)
-        assert rt.stats().current_idle == 0
+        assert rt.stats().current_idle == 0 and quiescent(rt)
 
     def test_clamp_exact_under_concurrent_exits(self):
         # 16 tasks finish together; the clamp holds at every instant

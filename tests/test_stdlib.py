@@ -21,7 +21,9 @@ import threadcache.shim as shim
 
 pytest.importorskip("test.support")
 
-MODULES = ["test.test_threading", "test.test_thread", "test.test_socketserver"]
+MODULES = ["test.test_threading", "test.test_thread", "test.test_socketserver",
+           "test.test_queue", "test.test_threading_local",
+           "test.test_threadedtempfile", "test.test_httpservers"]
 
 ENV = {"THREADCACHE_POLICY": "age", "THREADCACHE_AGE_MS": "20",
        "THREADCACHE_REAP_MS": "10"}
