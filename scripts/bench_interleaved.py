@@ -32,16 +32,20 @@ Unlike ``bench_pairs.py`` this cannot see rss, thread counts or set-up
 time, which need a process per run. Every join is checked; a wrong value
 exits non-zero.
 
-With ``--retention`` it times the retention pass instead. Each block
-builds, in each tree in turn and alternating order, a runtime under
+With ``--retention`` it times the retention pass instead. It loads the
+change tree a second time, as its own ``self`` tree. Each block builds, in
+each of the three trees in turn and alternating order, a runtime under
 IntegralBudget with a ``REAP_PERIOD_S`` period, parks ``IDLE_WORKERS``
-idle workers on it, and measures the process CPU per second of a
-``WINDOW_S`` sleep, then the mean of cached spawn+joins on that runtime,
-and shuts it down before the other tree's turn (its timer would share the
-CPU). It does so under
-each of ``BUDGETS``: 60 thread-s, whose passes cull nothing, and 1
-thread-s, whose passes cull through the window. The report gives
-change ÷ base of both numbers under each budget, with quartiles.
+idle workers on it, and counts over a ``WINDOW_S`` sleep the passes that
+enter that tree's ``retention.to_cull`` (wrapped through the module
+attribute, as ``tests/conftest.py``'s ``counted_reap`` does) and the
+process CPU. It then times cached spawn+joins on that runtime, and shuts it
+down before the next tree's turn (its timer would share the CPU). It does
+so under each of ``BUDGETS``: 1000 thread-s, whose passes cull nothing, and
+1 thread-s, whose passes cull through the window. The report gives, under
+each budget, passes per second, process CPU per pass and the spawn+join
+mean, with quartiles: change ÷ base, and self ÷ change, whose spread is
+the method's own noise, since both sides run the same code.
 """
 
 from __future__ import annotations
@@ -62,12 +66,13 @@ BLOCKS = 200  # timed blocks, after one dropped warm-up block
 CHURN_OPS = 2000  # cached spawn+joins (and ping-pongs) per block
 PHYSICAL_OPS = 300  # uncached spawn+joins (and Thread starts) per block
 SHIM_OPS = 1000  # shimmed Thread start+joins per block
-RETENTION_BLOCKS = 100  # timed blocks of --retention
+RETENTION_BLOCKS = 40  # timed blocks of --retention
 IDLE_WORKERS = 100  # idle workers parked for each --retention run
-WINDOW_S = 0.2  # the sleep whose process CPU a --retention run reads
+WINDOW_S = 1.0  # the sleep whose passes and CPU a --retention run counts
 REAP_PERIOD_S = 0.01
-# thread-s: 100 workers idle 10 ms exceed the second, never the first
-BUDGETS = {"keep": 60.0, "cull": 1.0}
+# thread-s: 100 workers idle through a run (~1.1 s) stay far within the
+# first; idle 10 ms, they exceed the second
+BUDGETS = {"keep": 1000.0, "cull": 1.0}
 
 
 def load_tree(tree: str, name: str):
@@ -151,12 +156,21 @@ def summary(vals) -> dict:
 
 
 def retention_run(tc, budget: float) -> dict:
-    """Process CPU per second of an idle window, and the mean µs of cached
-    spawn+joins, on a fresh IntegralBudget runtime of tc holding
-    IDLE_WORKERS idle workers; and the workers culled meanwhile."""
+    """Passes per second and process CPU per pass over an idle window, and
+    the mean µs of cached spawn+joins, on a fresh IntegralBudget runtime of
+    tc holding IDLE_WORKERS idle workers; and the workers culled meanwhile."""
     rt = tc.ThreadCache(enabled=True, retention=tc.RetentionConfig(
         policy=tc.Policy.INTEGRAL_BUDGET, budget=budget,
         reap_period=REAP_PERIOD_S))
+    retention = importlib.import_module(f"{tc.__name__}.retention")
+    orig, items, passes = retention.to_cull, rt._store._items, [0]
+
+    def to_cull(its, now, cfg):
+        if its is items:
+            passes[0] += 1
+        return orig(its, now, cfg)
+
+    retention.to_cull = to_cull
     try:
         go = threading.Event()
         hs = [rt.spawn(go.wait, 5.0) for _ in range(IDLE_WORKERS)]
@@ -168,21 +182,25 @@ def retention_run(tc, budget: float) -> dict:
             if st.current_idle == st.physical_creates - st.physical_culls:
                 break
             time.sleep(0.001)
-        c0, t0 = time.process_time_ns(), perf_counter_ns()
+        n0, c0, t0 = passes[0], time.process_time_ns(), perf_counter_ns()
         time.sleep(WINDOW_S)
-        cpu = (time.process_time_ns() - c0) / (perf_counter_ns() - t0)
+        cpu, dt = time.process_time_ns() - c0, perf_counter_ns() - t0
+        n = passes[0] - n0
+        if not n:
+            raise SystemExit("no retention pass in the window")
         us = spawn_join_block(rt, CHURN_OPS)
-        return {"cpu_per_s": cpu, "spawn_join_us": us,
-                "culled": rt.stats().physical_culls}
+        return {"passes_per_s": n / dt * 1e9, "cpu_us_per_pass": cpu / n / 1e3,
+                "spawn_join_us": us, "culled": rt.stats().physical_culls}
     finally:
+        retention.to_cull = orig
         rt.shutdown()
 
 
 def retention_main(a, cpu: int) -> int:
-    """The --retention comparison of a.base and a.change."""
-    sides = ("base", "change")
+    """The --retention comparison of a.base, a.change and a.change again."""
+    sides = ("base", "change", "self")
     tc = {s: load_tree(t, f"threadcache_{s}")
-          for s, t in zip(sides, (a.base, a.change))}
+          for s, t in zip(sides, (a.base, a.change, a.change))}
     rows = []
     for b in range(RETENTION_BLOCKS + 1):  # block 0 warms up, dropped
         row = {}
@@ -194,22 +212,24 @@ def retention_main(a, cpu: int) -> int:
             rows.append(row)
     out = {}
     for name in BUDGETS:
-        for k in ("cpu_per_s", "spawn_join_us"):
-            ratios = [r[f"change.{name}.{k}"] / r[f"base.{name}.{k}"]
-                      for r in rows]
-            out[f"{name}.{k}.change_over_base"] = {
-                **summary(ratios), "wins": sum(x < 1 for x in ratios),
-                "blocks": len(rows)}
-            for s in sides:
+        for k in ("passes_per_s", "cpu_us_per_pass", "spawn_join_us"):
+            for num, den in (("change", "base"), ("self", "change")):
+                ratios = [r[f"{num}.{name}.{k}"] / r[f"{den}.{name}.{k}"]
+                          for r in rows]
+                out[f"{name}.{k}.{num}_over_{den}"] = {
+                    **summary(ratios), "wins": sum(x < 1 for x in ratios),
+                    "blocks": len(rows)}
+            for s in sides[:2]:
                 out[f"{s}.{name}.{k}"] = summary(
                     [r[f"{s}.{name}.{k}"] for r in rows])
-        for s in sides:
+        for s in sides[:2]:
             out[f"{s}.{name}.culled"] = summary(
                 [r[f"{s}.{name}.culled"] for r in rows])
     report(out, rows, cpu, a.out, {
-        "trees": {"base": a.base, "change": a.change}, "mode": "retention",
-        "blocks": RETENTION_BLOCKS, "idle_workers": IDLE_WORKERS,
-        "window_s": WINDOW_S, "budgets": BUDGETS, "reap_period": REAP_PERIOD_S,
+        "trees": {"base": a.base, "change": a.change, "self": a.change},
+        "mode": "retention", "blocks": RETENTION_BLOCKS,
+        "idle_workers": IDLE_WORKERS, "window_s": WINDOW_S,
+        "budgets": BUDGETS, "reap_period": REAP_PERIOD_S,
         "spawn_join_ops": CHURN_OPS})
     return 0
 
@@ -218,9 +238,9 @@ def report(out: dict, rows, cpu: int, path, meta: dict):
     """Print the summary; with path, also write it, meta and every row."""
     print(f"{len(rows)} blocks on CPU {cpu}; medians [q1, q3]")
     for key, v in out.items():
-        wins = f"  change won {v['wins']}/{v['blocks']}" if "wins" in v \
+        wins = f"  below 1 in {v['wins']}/{v['blocks']}" if "wins" in v \
             else ""
-        print(f"{key:<32} {v['median']:9.4g} [{v['q1']:.4g}, {v['q3']:.4g}]"
+        print(f"{key:<40} {v['median']:9.4g} [{v['q1']:.4g}, {v['q3']:.4g}]"
               f"{wins}")
     if path:
         with open(path, "w") as f:

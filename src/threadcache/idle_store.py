@@ -9,11 +9,12 @@ sums the stamps when it runs, so the hit path keeps no running total.
 exit, and is how a runtime keeps nothing, whether it was shut down, built
 uncached, clamped to 0 or forked from a task.
 
-Under a reaping policy the front (oldest) worker is the ``timer``: a push
-onto an empty store claims the role, and the pop of the last worker clears
-it. The timer parks until ``due``, then calls ``run_pass``: one hold of the
-lock checks that it is still the timer and due, culls the k oldest that
-``retention.to_cull`` counts, and keeps a culled timer at the front.
+Under a reaping policy the front (oldest) worker is the ``timer``, read
+from the list itself: a worker pushed onto an empty store becomes it and
+leaves the role only by leaving the store. The timer parks for ``period``
+seconds at a time and then calls ``run_pass``: one hold of the lock checks
+that it is still the front, culls the k oldest that ``retention.to_cull``
+counts, and keeps a culled timer at the front.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -44,15 +45,13 @@ class IdleStore:
         self._peak = 0
         self._pops = 0
         self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
-        self._timed = cfg.needs_reaper  # whether the front times the passes
-        self.timer = None  # the front worker, when the store is timed
-        self._period = int(  # a park may wait at most TIMEOUT_MAX
-            min(cfg.reap_period, threading.TIMEOUT_MAX) * 1e9)
-        self.due = time.monotonic_ns() + self._period  # the next pass, in ns
+        self._timed = cfg.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
+        # seconds the timer parks between passes; a longer lock wait raises
+        self.period = min(cfg.reap_period, threading.TIMEOUT_MAX)
 
     # push and pop run on every cache hit, so they call acquire/release
     # directly: about half the cost of a ``with`` block on CPython 3.11
-    def push(self, worker, now: Optional[int] = None) -> Sequence:
+    def push(self, worker) -> Sequence:
         """Stamp and publish worker; returns the workers that must exit: the
         oldest, evicted to make room for it, or worker itself when the store
         is closed and refuses it."""
@@ -66,11 +65,7 @@ class IdleStore:
             if len(items) >= self._clamp:
                 evicted = self._take_front(
                     _retention.admit(len(items), self._retention))
-            elif self._timed and not items:
-                self.timer = worker
-            if now is None:
-                now = time.monotonic_ns()
-            worker.idle_since = now
+            worker.idle_since = time.monotonic_ns()
             items.append(worker)
             if len(items) > self._peak:
                 self._peak = len(items)
@@ -87,8 +82,6 @@ class IdleStore:
             if not items:
                 return None
             w = items.pop()
-            if w is self.timer:  # the last worker
-                self.timer = None
             self._pops += 1
             return w
         finally:
@@ -120,7 +113,6 @@ class IdleStore:
         """Drain the store and refuse later pushes; returns the drained."""
         with self._lock:
             self._closed = True
-            self.timer = None
             return self._take_front(len(self._items))
 
     def after_fork(self):
@@ -128,21 +120,17 @@ class IdleStore:
         keeping the pop count and peak."""
         self._lock._at_fork_reinit()
         self._items.clear()
-        self.timer = None
 
     def run_pass(self, worker, now: int) -> List:
-        """The retention pass, if worker is still the timer and it is due at
-        now; returns the workers that must exit. A culled timer keeps the
-        front with the stamp of the first survivor, which exits instead."""
+        """The retention pass at now, if worker is the timer; returns the
+        workers that must exit. A culled timer keeps the front with the
+        stamp of the first survivor, which exits instead."""
         with self._lock:
-            if worker is not self.timer or now < self.due:
+            items = self._items
+            if not items or items[0] is not worker:
                 return []
-            self.due = now + self._period
-            items = self._items  # the timer is items[0]
             k = _retention.to_cull(items, now, self._retention)
-            if k == len(items):
-                self.timer = None
-            elif k:
+            if 0 < k < len(items):
                 worker.idle_since = items[k].idle_since
                 items[0], items[k] = items[k], worker
             return self._take_front(k)
@@ -157,6 +145,13 @@ class IdleStore:
         """Stored workers newest-first, from one consistent pass."""
         with self._lock:
             return self._items[::-1]
+
+    @property
+    def timer(self):
+        """The front (oldest) worker of a timed store, which runs its
+        passes; None when the store is empty or its policy does not reap."""
+        front = self._items[:1]  # one read: a pop may empty the list
+        return front[0] if front and self._timed else None
 
     @property
     def closed(self) -> bool:  # refuses every push

@@ -13,8 +13,9 @@ Four policies decide which idle workers are kept:
   the thread-seconds integral of the idle list drops to ``budget``.
 
 Only the two reaping policies give their store a timer, its oldest idle
-worker, to run passes. ``to_cull`` is a pass's arithmetic, a pure function
-of the stamps, ``now`` and the config; the store applies it under its lock.
+worker, which parks ``reap_period`` seconds before each pass. ``to_cull``
+is a pass's arithmetic, a pure function of the stamps, ``now`` and the
+config; the store applies it under its lock.
 An idle worker holds nothing but its OS thread, whose stack the thread
 library keeps for reuse by a new thread once it exits.
 """
@@ -53,10 +54,6 @@ class RetentionConfig:
             raise ValueError("budget must be >= 0")
         if self.reap_period <= 0:
             raise ValueError("reap_period must be > 0")
-
-    @property
-    def needs_reaper(self) -> bool:
-        return self.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "RetentionConfig":

@@ -38,8 +38,9 @@ physical create and every exit a physical exit. ``shutdown`` closes it, as
 do ``THREADCACHE=0`` (``enabled=False``), a clamp of 0 and a fork in a task.
 
 A runtime starts no thread of its own: under a reaping policy the store's
-oldest idle worker, its timer, runs each retention pass. A forked child
-starts with the forking thread alone: the at-fork hook starts no thread.
+oldest idle worker, its timer, runs each retention pass, one period after
+it parks and once a period after that. A forked child starts with the
+forking thread alone: the at-fork hook starts no thread.
 """
 
 from __future__ import annotations
@@ -367,9 +368,10 @@ class ThreadCache:
 
     def _dispatch_loop(self, worker: Worker, started):
         """The worker's thread: run its task, clear the handle's entry and
-        arg, fire the latch, then park on the store until the next task, or
-        as its timer until a pass is due. It exits only when woken with no
-        task: by whoever takes it from the store, or by itself."""
+        arg, fire the latch, then park on the store until the next task;
+        the store's timer parks one period at a time and runs a pass after
+        each. It exits only when woken with no task: by whoever takes it
+        from the store, or by itself."""
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
@@ -385,7 +387,7 @@ class ThreadCache:
         task = worker.task
         park = worker._park_lock
         store = self._store
-        timed = store._timed  # whether a worker may become the timer
+        timed, period = store._timed, store.period
         _current.worker = worker
         while True:
             try:
@@ -407,10 +409,8 @@ class ThreadCache:
                 for w in exiting:
                     self._terminate_worker(w)
                 exiting = w = None  # a parked worker holds no other worker
-            while timed and worker is store.timer:
-                # an unlocked read: run_pass decides under the lock
-                wait = (store.due - time.monotonic_ns()) / 1e9
-                if wait > 0 and park.acquire(True, wait):
+            while timed and worker is store.timer:  # run_pass decides
+                if park.acquire(True, period):
                     break  # woken, and re-armed
                 self._reap_pass(worker)
             else:
@@ -425,7 +425,7 @@ class ThreadCache:
         worker._tstate_lock.release()
 
     def _reap_pass(self, worker: Worker):
-        """The store's pass, if worker is still its timer and it is due."""
+        """The store's pass, if worker is still its timer."""
         try:
             culled = self._store.run_pass(worker, time.monotonic_ns())
         except Exception:
@@ -444,7 +444,7 @@ def _after_fork_in_child():
     ``threading._after_fork`` did not (not yet started, or running a
     shimmed thread, which holds their entry in ``threading._active``) and
     empties its store, timer included: the hook starts no thread, and the
-    child's first worker to park claims the timer if the policy reaps. In a
+    child's first worker to park is the timer if the policy reaps. In a
     child forked from a task every runtime closes its store, so the forking
     worker exits after its task, as a forked ``threading.Thread`` does, and
     no worker parks that would outlive the task and keep the child from

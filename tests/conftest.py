@@ -72,16 +72,10 @@ def quiescent(rt):
     """Every worker the runtime made is idle or has exited:
     creates - culls == live workers == idle workers. The first equality
     holds by construction, since culls are creates minus live workers;
-    live == idle is the part that can fail. The store's timer is then its
-    oldest idle worker under a reaping policy, and None otherwise."""
+    live == idle is the part that can fail."""
     s = rt.stats()
-    store = rt._store
-    with store._lock:
-        items = store._items
-        timer_ok = store.timer is (items[0] if store._timed and items
-                                   else None)
     return (s.physical_creates - s.physical_culls == len(rt._live)
-            == s.current_idle) and timer_ok
+            == s.current_idle)
 
 
 def net_new_objects(op, n, settle):

@@ -62,7 +62,8 @@ class TestCull:
         a, b, c = fake_workers(3)
         s = make_store()
         for w, t in ((a, 1), (b, 2), (c, 3)):
-            s.push(w, now=t)
+            s.push(w)
+            w.idle_since = t
         assert s.cull_oldest(1) == [a]
         assert s.snapshot() == [c, b]
 
@@ -70,7 +71,8 @@ class TestCull:
         ws = fake_workers(3)
         s = make_store()
         for i, w in enumerate(ws):
-            s.push(w, now=i)
+            s.push(w)
+            w.idle_since = i
         got = s.cull_oldest(5)
         assert got == ws  # oldest first
         assert s.count == 0
@@ -89,7 +91,8 @@ class TestCull:
         ws = fake_workers(4)
         s = make_store()
         for i, w in enumerate(ws):
-            s.push(w, now=i * 10)
+            s.push(w)
+            w.idle_since = i * 10
         got = s.cull_older_than(15)
         assert got == ws[:2]
         assert s.count == 2
@@ -134,19 +137,22 @@ class TestIntegral:
         s = make_store()
         now = 10_000_000_000
         for w, age_s in zip(ws, (5, 3, 1)):
-            s.push(w, now=now - age_s * 1_000_000_000)
+            s.push(w)
+            w.idle_since = now - age_s * 1_000_000_000
         assert s.integral(now=now) == pytest.approx(9.0)
 
     def test_single_worker(self, fake_workers):
         (w,) = fake_workers(1)
         s = make_store()
-        s.push(w, now=0)
+        s.push(w)
+        w.idle_since = 0
         assert s.integral(now=2_000_000_000) == pytest.approx(2.0)
 
     def test_exact_against_frozen_snapshot(self, fake_workers):
         s = make_store()
         for i, w in enumerate(fake_workers(20)):
-            s.push(w, now=i * 7919)
+            s.push(w)
+            w.idle_since = i * 7919
         now = 1_000_000
         frozen = s.snapshot()
         recomputed = sum(now - w.idle_since for w in frozen) / 1e9
@@ -269,8 +275,8 @@ class TestClose:
     def test_close_drains_oldest_first_and_refuses_pushes(self, fake_workers):
         a, b, c = fake_workers(3)
         s = make_store()
-        for i, w in enumerate((a, b)):
-            assert s.push(w, now=i) == ()
+        for w in (a, b):
+            assert s.push(w) == ()
         assert s.close() == [a, b]
         assert s.count == 0 and s.integral(now=5) == 0
         assert s.push(c) == (c,)  # refused: handed back to exit
@@ -362,36 +368,51 @@ class TestRunPass:
     """The timer's pass: one hold of the lock, with no thread."""
 
     NS = 1_000_000_000
-    PERIOD = NS // 100
 
     def timed(self, ages):
         """An AgeOut store (max age 10 s) holding one worker per age in s,
         oldest first, at now = 100 s; returns it, the workers and now."""
-        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=10.0,
-                              reap_period=self.PERIOD / self.NS)
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=10.0)
         s, now = make_store(retention=cfg), 100 * self.NS
         ws = [FakeWorker(i) for i in range(len(ages))]
         for w, age in zip(ws, ages):
-            s.push(w, now=now - age * self.NS)
-        s.due = now
+            s.push(w)
+            w.idle_since = now - age * self.NS
         return s, ws, now
 
     def test_only_the_timer_passes(self):
         s, (t, w), now = self.timed([20, 15])
         assert s.timer is t
         assert s.run_pass(w, now) == []
-        assert s.due == now and s.count == 2
+        assert s.count == 2
 
-    def test_a_pass_not_yet_due_culls_nothing(self):
-        s, (t, _), now = self.timed([20, 15])
-        assert s.run_pass(t, now - 1) == []
-        assert s.due == now and s.count == 2
+    def test_timer_is_the_front_of_a_timed_store(self):
+        s, (t, w), _ = self.timed([30, 20])
+        assert s.pop() is w and s.timer is t
+        assert s.pop() is t and s.timer is None  # the last worker
+        s.push(w)  # onto an empty store
+        assert s.timer is w
+        s.push(t)
+        assert s.timer is w
+        later = time.monotonic_ns() + 60 * self.NS  # both idle over 10 s
+        assert s.run_pass(w, later) == [w, t]  # culls every worker
+        assert s.timer is None
+        s.push(t)
+        assert s.timer is t
+        s.after_fork()
+        assert s.timer is None
+        s.push(w)
+        assert s.timer is w
+        assert s.close() == [w] and s.timer is None
 
-    def test_a_due_pass_advances_due_by_one_period(self):
-        s, (t, w), now = self.timed([5, 1])
-        assert s.run_pass(t, now) == []
-        assert s.due == now + self.PERIOD
-        assert s.snapshot() == [w, t] and s.timer is t
+    @pytest.mark.parametrize("cfg", [
+        RetentionConfig(),
+        RetentionConfig(policy=Policy.CLAMP, clamp_size=2)])
+    def test_a_store_that_does_not_reap_has_no_timer(self, cfg):
+        s = make_store(retention=cfg)
+        w = FakeWorker(0)
+        s.push(w)
+        assert s.snapshot() == [w] and s.timer is None
 
     def test_a_culled_timer_swaps_place_and_stamp_with_a_survivor(self):
         s, (t, a, b, c), now = self.timed([30, 20, 15, 5])
@@ -418,8 +439,8 @@ class TestRunPass:
         s, now = make_store(retention=cfg), 100 * self.NS
         t, a, b = ws = [FakeWorker(i) for i in range(3)]
         for w, age in zip(ws, (5, 3, 1)):
-            s.push(w, now=now - age * self.NS)
-        s.due = now
+            s.push(w)
+            w.idle_since = now - age * self.NS
         stamp = a.idle_since
         assert s.run_pass(t, now) == [a]
         assert s.snapshot() == [b, t] and t.idle_since == stamp
@@ -483,7 +504,8 @@ def test_sequential_history_matches_reference_stack(ops):
         if op == "push":
             w = FakeWorker(serial)
             serial += 1
-            s.push(w, now=now)
+            s.push(w)
+            w.idle_since = now
             ref.push(w)
         elif op == "pop":
             assert s.pop() is ref.pop()
@@ -507,7 +529,8 @@ def test_integral_matches_direct_sum_after_any_history(ops, later):
         now += 1 + arg * 1000
         if op == "push":
             w = FakeWorker(serial)
-            s.push(w, now=now)
+            s.push(w)
+            w.idle_since = now
             ref.push(w)
             stamp[w] = now
         elif op == "pop":

@@ -22,7 +22,8 @@ def store_with_ages(now, ages_s, cfg=None):
     ws = []
     for i, age in enumerate(sorted(ages_s, reverse=True)):
         w = FakeWorker(i)
-        s.push(w, now=now - int(age * NS))
+        s.push(w)
+        w.idle_since = now - int(age * NS)
         ws.append(w)
     return s, ws
 
@@ -31,7 +32,7 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = RetentionConfig()
         assert cfg.policy is Policy.UNBOUNDED
-        assert not cfg.needs_reaper
+        assert not IdleStore(cfg)._timed
 
     @pytest.mark.parametrize("kw", [
         {"clamp_size": -1},
@@ -51,7 +52,7 @@ class TestConfig:
         assert cfg.policy is Policy.INTEGRAL_BUDGET
         assert cfg.budget == 2.5
         assert cfg.reap_period == 0.1
-        assert cfg.needs_reaper
+        assert IdleStore(cfg)._timed
 
     def test_from_env_clamp_and_age(self):
         cfg = RetentionConfig.from_env({"THREADCACHE_POLICY": "clamp",
@@ -80,7 +81,7 @@ class TestAdmit:
     def test_unbounded_always_caches(self):
         assert admit(1000, RetentionConfig()) == 0
         s, _ = store_with_ages(5 * NS, [3, 2, 1])
-        assert s.push(FakeWorker(9), now=5 * NS) == ()
+        assert s.push(FakeWorker(9)) == ()
         assert s.count == 4
 
     def test_clamp_evicts_oldest_for_incoming(self):
@@ -89,7 +90,8 @@ class TestAdmit:
         assert admit(2, cfg) == 1
         s, ws = store_with_ages(now, [9, 1], cfg)
         w = FakeWorker(99)
-        assert s.push(w, now) == [ws[0]]  # the 9s-old one
+        assert s.push(w) == [ws[0]]  # the 9s-old one
+        w.idle_since = now
         assert s.snapshot() == [w, ws[1]]
         assert s.integral(now) == pytest.approx(1.0)
 
@@ -99,14 +101,14 @@ class TestAdmit:
         s = IdleStore(RetentionConfig(policy=Policy.CLAMP, clamp_size=0))
         assert s.closed
         w = FakeWorker(0)
-        assert s.push(w, now=0) == (w,)
+        assert s.push(w) == (w,)
         assert (s.count, s.peak) == (0, 0)
 
     def test_clamp_under_limit_no_eviction(self):
         cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=2)
         assert admit(1, cfg) == 0
         s, _ = store_with_ages(5 * NS, [1], cfg)
-        assert s.push(FakeWorker(9), 5 * NS) == ()
+        assert s.push(FakeWorker(9)) == ()
         assert s.count == 2
 
     @pytest.mark.parametrize("policy", [Policy.AGE_OUT,
@@ -115,7 +117,7 @@ class TestAdmit:
         cfg = RetentionConfig(policy=policy, clamp_size=0)
         assert admit(1000, cfg) == 0
         s = IdleStore(cfg)
-        assert s.push(FakeWorker(0), now=0) == ()
+        assert s.push(FakeWorker(0)) == ()
         assert s.count == 1
 
 
@@ -171,7 +173,8 @@ def run_script_pair(cfg, events):
             tag = next_tag[0]
             next_tag[0] += 1
             w = FakeWorker(tag)
-            evicted = list(store.push(w, now=ev.t))
+            evicted = list(store.push(w))
+            w.idle_since = ev.t
             if w in evicted:  # refused: the closed store hands it back
                 assert out.admitted is None and evicted == [w]
                 evicted = []

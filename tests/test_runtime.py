@@ -1112,6 +1112,23 @@ class TestRetentionTimer:
         assert min(gaps) > 0.005e9, gaps  # never two in one period
         assert rt.stats().current_idle == 3
 
+    def test_first_pass_comes_one_period_after_the_timer_parks(
+            self, runtime, monkeypatch):
+        # a runtime quiet for longer than a period owes no pass: its first
+        # timer culls nothing at once, and culls itself at its first pass
+        cfg = RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=0.05,
+                              reap_period=0.2)
+        rt = runtime(enabled=True, retention=cfg)
+        seen = counted_reap(monkeypatch, rt._store)
+        time.sleep(0.3)
+        t0 = time.monotonic_ns()
+        rt.spawn(lambda: None).join()
+        time.sleep(0.1)
+        assert [t for t in seen["passes"] if t < t0 + 0.1e9] == []
+        assert wait_until(lambda: rt.stats().physical_culls == 1,
+                          timeout=0.3)
+        assert seen["culled"] == 1
+
 
 # ---------------------------------------------------------------------------
 # N-1 retention bound over randomized schedules (scaled; full in acceptance)
