@@ -11,10 +11,11 @@ uncached, clamped to 0 or forked from a task.
 
 Under a reaping policy the front (oldest) worker is the ``timer``, read
 from the list itself: a worker pushed onto an empty store becomes it and
-leaves the role only by leaving the store. The timer parks for ``period``
-seconds at a time and then calls ``run_pass``: one hold of the lock checks
-that it is still the front, culls the k oldest that ``retention.to_cull``
-counts, and keeps a culled timer at the front.
+leaves the role only by leaving the store, so a parked worker's role never
+changes and it reads the role once, as it parks. The timer parks for
+``period`` seconds at a time and then calls ``run_pass``: one hold of the
+lock checks that it is still the front, culls the k oldest that
+``retention.to_cull`` counts, and keeps a culled timer at the front.
 
 The paper's CAS push and per-CPU shards are not reproduced: under the
 GIL an emulated CAS is itself a lock, and shards only add work.
@@ -93,14 +94,16 @@ class IdleStore:
         return out
 
     def cull_oldest(self, k: int) -> List:
-        """Remove up to k oldest workers; returns them oldest-first."""
+        """Remove up to k oldest workers, returned oldest first. Only tests
+        and the traced benchmark call it: it keeps no timer at the front."""
         if k < 0:
             raise ValueError("k must be >= 0")
         with self._lock:
             return self._take_front(k)
 
     def cull_older_than(self, min_idle_since: int) -> List:
-        """Remove every worker stamped before min_idle_since (a front run)."""
+        """Remove every worker stamped before min_idle_since (a front run).
+        Only tests and the traced benchmark call it: it keeps no timer."""
         with self._lock:
             k = 0
             for w in self._items:
@@ -140,11 +143,6 @@ class IdleStore:
         one pass over the store under its lock."""
         with self._lock:
             return sum(now - w.idle_since for w in self._items) / 1e9
-
-    def snapshot(self) -> List:
-        """Stored workers newest-first, from one consistent pass."""
-        with self._lock:
-            return self._items[::-1]
 
     @property
     def timer(self):

@@ -37,7 +37,7 @@ class Policy(enum.Enum):
     INTEGRAL_BUDGET = "integral"
 
 
-@dataclass
+@dataclass(frozen=True)  # a store copies its policy, clamp and period once
 class RetentionConfig:
     policy: Policy = Policy.UNBOUNDED
     clamp_size: int = 8              # CLAMP only
@@ -109,7 +109,8 @@ def to_cull(items: Sequence, now: int, cfg: RetentionConfig) -> int:
 
 def reap(store, now: int, cfg: RetentionConfig) -> List:
     """One cull of store under cfg at ``now``, in one hold of its lock;
-    returns the workers removed (oldest first). The timer's own pass is
-    ``IdleStore.run_pass``."""
+    returns the workers removed (oldest first). Only tests and the traced
+    benchmark call it: on a timed store it takes the front without keeping
+    a timer. The timer's own pass is ``IdleStore.run_pass``."""
     with store._lock:
         return store._take_front(to_cull(store._items, now, cfg))

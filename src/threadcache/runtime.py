@@ -351,8 +351,7 @@ class ThreadCache:
         to exit but the calling one, which exits once its task returns.
         """
         self._closed = True
-        for w in self._store.close():
-            self._terminate_worker(w)
+        self._terminate(self._store.close())
         if join:
             deadline = time.monotonic() + timeout
             me = threading.get_ident()
@@ -363,15 +362,16 @@ class ThreadCache:
 
     # -- internals --------------------------------------------------------
 
-    def _terminate_worker(self, w: Worker):
-        w._park_lock.release()  # woken with no task: it exits
+    def _terminate(self, workers):  # whatever the store hands back
+        for w in workers:
+            w._park_lock.release()  # woken with no task: it exits
 
     def _dispatch_loop(self, worker: Worker, started):
         """The worker's thread: run its task, clear the handle's entry and
-        arg, fire the latch, then park on the store until the next task;
-        the store's timer parks one period at a time and runs a pass after
-        each. It exits only when woken with no task: by whoever takes it
-        from the store, or by itself."""
+        arg, fire the latch, then park on the store until the next task; it
+        parks as the store's timer, one period at a time with a pass after
+        each, if it is the timer as it parks. It exits only when woken with
+        no task: by ``_terminate``, from whoever takes it from the store."""
         # become visible to threading before any user code can call
         # current_thread(), which would otherwise make a _DummyThread that
         # is never removed; then install the hooks, as Thread does
@@ -406,17 +406,16 @@ class ThreadCache:
             task = None  # an idle worker holds no task or value
             exiting = store.push(worker)
             if exiting:  # the clamp's oldest, or this worker if refused
-                for w in exiting:
-                    self._terminate_worker(w)
-                exiting = w = None  # a parked worker holds no other worker
-            while timed and worker is store.timer:  # run_pass decides
-                if park.acquire(True, period):
-                    break  # woken, and re-armed
-                self._reap_pass(worker)
+                self._terminate(exiting)
+                exiting = None  # a parked worker holds no other worker
+            # a parked timer stays the front until it leaves the store
+            if timed and worker is store.timer:
+                while not park.acquire(True, period):  # True: woken, re-armed
+                    self._reap_pass(worker)
             else:
                 park.acquire()  # until the next task or a terminate; re-arms
             task = worker.task
-            if task is None:  # woken by _terminate_worker
+            if task is None:  # woken by _terminate
                 break
         with self._count_lock:
             del self._live[worker.worker_id]
@@ -425,14 +424,14 @@ class ThreadCache:
         worker._tstate_lock.release()
 
     def _reap_pass(self, worker: Worker):
-        """The store's pass, if worker is still its timer."""
+        """The store's pass, if worker is still its timer: a spawn may pop
+        it after its park times out, so ``run_pass`` checks under the lock."""
         try:
             culled = self._store.run_pass(worker, time.monotonic_ns())
         except Exception:
             log.exception("retention pass failed")
             return
-        for w in culled:
-            self._terminate_worker(w)
+        self._terminate(culled)
 
 
 _runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()

@@ -6,8 +6,9 @@ unmodified code gains the idle-thread cache. ``install()`` with no runtime
 builds one ``ThreadCache`` from the environment and keeps it across repeated
 calls; ``uninstall()`` or an ``install(rt)`` shuts it down. A runtime passed
 in, the built one too, stays the caller's: the shim never shuts it down. The
-original entry points are read once, at import, and everything falls back to
-them whenever a request is not cache-eligible:
+original entry points are read once, at import. Both shimmed starts route
+through one ``_spawn``, which hands a start to the runtime, or returns None
+and the start falls back to the original entry point when:
 
 * a nonzero ``threading.stack_size()`` is in effect (custom stack sizes are
   never served from the cache), or
@@ -86,14 +87,21 @@ _UnraisableHookArgs = next(t for t in tuple.__subclasses__()
                            if t.__name__ == "UnraisableHookArgs")
 
 
-def _cache_eligible(rt: Optional[ThreadCache]) -> bool:
+def _spawn(body):
+    """body's handle, or None when the start falls back: no runtime, one that
+    keeps nothing, a custom stack size, or a shutdown since the check."""
+    rt = _runtime
     if rt is None or not rt.enabled:
-        return False
+        return None
     # stack_size() with no argument also sets the size to 0: put it back
     size = threading.stack_size()
     if size:
         threading.stack_size(size)
-    return size == 0
+        return None
+    try:
+        return rt.spawn(body)
+    except UsageError:  # shut down since the check
+        return None
 
 
 class CachedThread(_REAL_THREAD):
@@ -135,17 +143,11 @@ class CachedThread(_REAL_THREAD):
         threading._dangling.add(self)
 
     def start(self):
-        rt = _runtime
         if not self._initialized:
             raise RuntimeError("thread.__init__() not called")
         if self._started.is_set():
             raise RuntimeError("threads can only be started once")
-        handle = None
-        if _cache_eligible(rt):
-            try:
-                handle = rt.spawn(self._cache_body)
-            except UsageError:  # shut down since the check
-                pass
+        handle = _spawn(self._cache_body)
         if handle is None:
             self._started = threading.Event()
             return _REAL_THREAD.start(self)
@@ -193,15 +195,12 @@ _NO_KWARGS: dict = {}  # start_new_thread's default 3rd arg; never written
 
 
 def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
-    rt = _runtime
     if not callable(function):
         raise TypeError("first arg must be callable")
     if not isinstance(args, tuple):
         raise TypeError("2nd arg must be a tuple")
     if not isinstance(kwargs, dict):
         raise TypeError("optional 3rd arg must be a dictionary")
-    if not _cache_eligible(rt):
-        return _REAL_START_NEW_THREAD(function, args, kwargs)
 
     def body():
         sys.settrace(None)  # a new _thread thread starts with no hooks
@@ -215,9 +214,8 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
                 (type(exc), exc, exc.__traceback__,
                  "Exception ignored in thread started by", function)))
 
-    try:
-        handle = rt.spawn(body)
-    except UsageError:  # shut down since the check
+    handle = _spawn(body)
+    if handle is None:
         return _REAL_START_NEW_THREAD(function, args, kwargs)
     return handle.worker.ident
 

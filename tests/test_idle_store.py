@@ -65,7 +65,7 @@ class TestCull:
             s.push(w)
             w.idle_since = t
         assert s.cull_oldest(1) == [a]
-        assert s.snapshot() == [c, b]
+        assert s._items[::-1] == [c, b]
 
     def test_cull_clamps_to_size(self, fake_workers):
         ws = fake_workers(3)
@@ -120,7 +120,7 @@ class TestCull:
         for t in threads:
             t.join()
         assert len(culled) == 100
-        survivors = s.snapshot()
+        survivors = s._items[::-1]
         max_culled = max(w.idle_since for w in culled)
         assert all(w.idle_since >= max_culled for w in survivors)
         # conservation across the whole episode
@@ -154,7 +154,7 @@ class TestIntegral:
             s.push(w)
             w.idle_since = i * 7919
         now = 1_000_000
-        frozen = s.snapshot()
+        frozen = s._items[::-1]
         recomputed = sum(now - w.idle_since for w in frozen) / 1e9
         assert s.integral(now=now) == recomputed
 
@@ -264,7 +264,7 @@ class TestRaces:
         assert sum(popped) > 0
         assert s.pops == sum(popped)  # exact: counted inside the lock
         assert s.peak == len(pool)    # never above the pool, reached at fill
-        left = s.snapshot()
+        left = s._items[::-1]
         assert Counter(id(w) for w in left) == Counter(id(w) for w in pool)
         now = time.monotonic_ns()
         direct = sum(now - w.idle_since for w in left) / 1e9
@@ -337,7 +337,7 @@ class TestClamp:
                 # every worker is admitted, then stored or evicted once
                 assert None not in out
                 evicted = [w for e in out for w in e]
-                assert Counter(map(id, s.snapshot() + evicted)) \
+                assert Counter(map(id, s._items[::-1] + evicted)) \
                     == Counter(map(id, ws))
                 assert len(evicted) == 14
         finally:
@@ -412,13 +412,13 @@ class TestRunPass:
         s = make_store(retention=cfg)
         w = FakeWorker(0)
         s.push(w)
-        assert s.snapshot() == [w] and s.timer is None
+        assert s._items[::-1] == [w] and s.timer is None
 
     def test_a_culled_timer_swaps_place_and_stamp_with_a_survivor(self):
         s, (t, a, b, c), now = self.timed([30, 20, 15, 5])
         stamp = c.idle_since
         assert s.run_pass(t, now) == [c, a, b]
-        assert s.snapshot() == [t] and s.timer is t
+        assert s._items[::-1] == [t] and s.timer is t
         assert t.idle_since == stamp
 
     def test_a_timer_culled_alone_clears_timer(self):
@@ -443,7 +443,7 @@ class TestRunPass:
             w.idle_since = now - age * self.NS
         stamp = a.idle_since
         assert s.run_pass(t, now) == [a]
-        assert s.snapshot() == [b, t] and t.idle_since == stamp
+        assert s._items[::-1] == [b, t] and t.idle_since == stamp
         assert s.integral(now) == 4.0
 
 
@@ -544,4 +544,48 @@ def test_integral_matches_direct_sum_after_any_history(ops, later):
         t = now + later
         direct = sum(t - stamp[w] for w in ref.items) / 1e9
         assert s.integral(now=t) == direct
-        assert s.snapshot() == ref.items[::-1]
+        assert s._items[::-1] == ref.items[::-1]
+
+
+def check_roles(cfg, steps):
+    """Run steps of the runtime's own store operations on a timed store:
+    push, pop, a pass by the timer at a later now, and close. A worker that
+    stays stored keeps its role, timer or not, and one that leaves is one
+    the step returned. So the runtime may read the role once, as a worker
+    parks: leaving the store is what wakes it."""
+    s = IdleStore(cfg)
+    now = 0
+    for serial, (op, dt) in enumerate(steps):
+        now += dt
+        before = [(w, w is s.timer) for w in s._items]
+        if op == "push":
+            w = FakeWorker(serial)
+            returned = list(s.push(w))
+            w.idle_since = now
+        elif op == "pop":
+            returned = [s.pop()]
+        elif op == "pass":
+            returned = s.run_pass(s.timer, now)
+        else:
+            returned = s.close()
+        for w, was_timer in before:  # FakeWorkers compare by identity
+            if w in s._items:
+                assert (w is s.timer) == was_timer, (op, w)
+            else:
+                assert w in returned, (op, w)
+
+
+ROLE_CONFIGS = [
+    RetentionConfig(policy=Policy.AGE_OUT, max_idle_age=2.0),
+    RetentionConfig(policy=Policy.INTEGRAL_BUDGET, budget=3.0),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ROLE_CONFIGS),
+       st.lists(st.tuples(
+           st.sampled_from(["push"] * 6 + ["pop"] * 3 + ["pass"] * 3
+                           + ["close"]),
+           st.integers(0, 3 * 10**9)), max_size=60))
+def test_a_stored_worker_keeps_its_role(cfg, steps):
+    check_roles(cfg, steps)

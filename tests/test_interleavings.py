@@ -52,7 +52,7 @@ class TestReapRace:
         store = rt._store
 
         def culls_one(s, worker, now):  # a pass that culls the idle worker
-            idle = s.snapshot()
+            idle = s._items[::-1]
             return s is store and idle == [worker] and \
                 idle[0].idle_since < now - int(age * 1e9)
 
@@ -146,14 +146,14 @@ class TestTimer:
         assert wait_until(lambda: store.count == 2)
         timer = store.timer
         young, = [h.worker for h in handles if h.worker is not timer]
-        assert store.snapshot() == [young, timer]
+        assert store._items[::-1] == [young, timer]
         stamp = young.idle_since
         timer.idle_since = 0  # older than max_idle_age; young is not
         young.join(1.0)
         assert not young.is_alive()
         s = rt.stats()
         assert (s.physical_culls, s.current_idle) == (1, 1)
-        assert store.snapshot() == [timer] and store.timer is timer
+        assert store._items[::-1] == [timer] and store.timer is timer
         assert timer.idle_since == stamp and timer.is_alive()
         assert quiescent(rt)
 

@@ -69,6 +69,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             RetentionConfig.from_env({"THREADCACHE_POLICY": "bogus"})
 
+    def test_frozen(self):
+        # a store copies the policy, clamp and period when it is built, and
+        # reads the rest live: a later assignment would split the two
+        cfg = RetentionConfig(policy=Policy.CLAMP, clamp_size=8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.clamp_size = 2
+
     def test_fields(self):
         # no refusing clamp: a full one always evicts its oldest worker
         assert [f.name for f in dataclasses.fields(RetentionConfig)] == [
@@ -92,7 +99,7 @@ class TestAdmit:
         w = FakeWorker(99)
         assert s.push(w) == [ws[0]]  # the 9s-old one
         w.idle_since = now
-        assert s.snapshot() == [w, ws[1]]
+        assert s._items[::-1] == [w, ws[1]]
         assert s.integral(now) == pytest.approx(1.0)
 
     def test_clamp_zero_terminates(self):
@@ -201,7 +208,7 @@ def run_script_pair(cfg, events):
             assert store.count <= cfg.clamp_size
         if ev.kind == "tick":
             if cfg.policy is Policy.AGE_OUT:
-                for w in store.snapshot():
+                for w in store._items[::-1]:
                     assert ev.t - w.idle_since <= cfg.max_idle_age * NS
             elif cfg.policy is Policy.INTEGRAL_BUDGET:
                 assert store.integral(now=ev.t) <= cfg.budget
@@ -234,9 +241,8 @@ def test_policy_engine_matches_simulator_sampled():
         run_script_pair(random_config(rng), random_script(rng))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_policy_engine_matches_simulator_hypothesis(data):
+def draw_script(data):
+    """A config and an event script, drawn by hypothesis."""
     policy = data.draw(st.sampled_from([Policy.CLAMP, Policy.AGE_OUT,
                                         Policy.INTEGRAL_BUDGET]))
     cfg = RetentionConfig(
@@ -252,4 +258,46 @@ def test_policy_engine_matches_simulator_hypothesis(data):
     for k in kinds:
         t += data.draw(st.integers(1, 2 * NS))
         events.append(SimEvent(k, t))
-    run_script_pair(cfg, events)
+    return cfg, events
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_policy_engine_matches_simulator_hypothesis(data):
+    run_script_pair(*draw_script(data))
+
+
+def run_script_as_passes(cfg, events):
+    """Replay a script with each tick run as the runtime runs it, a pass by
+    the store's timer, ``run_pass(store.timer, t)``. A pass may cull other
+    workers than the simulator's, as a culled timer swaps with the first
+    survivor, so the check is on the stamps and the counts."""
+    store = IdleStore(cfg)
+    sim = PolicySimulator(cfg)
+    for ev in events:
+        out = sim.step(ev)
+        timer = store.timer
+        if ev.kind == "exit":
+            w = FakeWorker(None)
+            store.push(w)
+            w.idle_since = ev.t
+        elif ev.kind == "spawn":
+            store.pop()
+        else:
+            assert len(store.run_pass(timer, ev.t)) == len(out.culled)
+        assert [w.idle_since for w in store._items] == \
+            [since for _, since in sim.idle]
+        if timer is not None and store.count:
+            assert store.timer is timer  # the timer keeps the front
+
+
+def test_timer_pass_matches_simulator_sampled():
+    rng = random.Random(1234)
+    for _ in range(500):
+        run_script_as_passes(random_config(rng), random_script(rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_timer_pass_matches_simulator_hypothesis(data):
+    run_script_as_passes(*draw_script(data))

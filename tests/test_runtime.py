@@ -693,7 +693,7 @@ class TestRecyclingInvariants:
         assert wait_until(lambda: rt.stats().current_idle == 1)
         victims = rt._store.cull_oldest(1)
         assert len(victims) == 1
-        rt._terminate_worker(victims[0])
+        rt._terminate(victims)
         assert wait_until(lambda: rt.stats().physical_culls == 1)
         assert victims[0].worker_id not in rt._live
         h = rt.spawn(lambda: None)
@@ -753,7 +753,7 @@ class TestTinySwitchInterval:
         # every worker ends up idle exactly once: no loss, no duplicate
         assert wait_until(lambda: rt.stats().current_idle
                           == rt.stats().physical_creates)
-        idle = rt._store.snapshot()
+        idle = rt._store._items[::-1]
         assert len({id(w) for w in idle}) == len(idle)
         assert len({w.worker_id for w in idle}) == len(idle)
         assert rt.stats().physical_culls == 0  # Unbounded: no worker exits

@@ -909,14 +909,13 @@ class TestShimCaching:
     def shut_down_after_check(self, shimmed, monkeypatch):
         """The runtime is shut down between the shim's eligibility check
         and its spawn, which then raises UsageError."""
-        check = shim._cache_eligible
+        spawn = shimmed.spawn
 
-        def check_then_shut_down(rt):
-            eligible = check(rt)
+        def shut_down_then_spawn(*args):
             shimmed.shutdown(join=False)
-            return eligible
+            return spawn(*args)
 
-        monkeypatch.setattr(shim, "_cache_eligible", check_then_shut_down)
+        monkeypatch.setattr(shimmed, "spawn", shut_down_then_spawn)
         return shimmed
 
     def test_thread_start_racing_shutdown_falls_back(
