@@ -46,6 +46,26 @@ so under each of ``BUDGETS``: 1000 thread-s, whose passes cull nothing, and
 each budget, passes per second, process CPU per pass and the spawn+join
 mean, with quartiles: change ÷ base, and self ÷ change, whose spread is
 the method's own noise, since both sides run the same code.
+
+With ``--ladder`` it times one tree's cached spawn+join as a ladder of
+cumulative rungs, each a minimal recycler that adds one cost to the rung
+below it, with one worker thread per rung parked on its own lock:
+
+    python3 scripts/bench_interleaved.py --ladder . --json ladder.json
+
+0. the floor, the raw two-lock ping-pong;
+1. a fresh per-task latch, allocated and acquired by the spawner, which
+   the join waits on;
+2. a bare list store: the worker pushes itself, the spawner pops it;
+3. that store under a lock, with a pop count and a peak;
+4. a slotted handle that carries the entry, its arg and its value, and the
+   join's read of a ``threading.local``, as the runtime's ``_current``;
+5. a ``time.monotonic_ns()`` stamp in the push;
+6. the tree's own ``rt.spawn(f).join()`` on a warm Unbounded runtime.
+
+Each block times every rung, in forward and reverse order in turn. The
+report gives each rung's mean µs per operation, its increment over the
+rung below it and both ÷ the floor of the same block, with quartiles.
 """
 
 from __future__ import annotations
@@ -66,6 +86,7 @@ BLOCKS = 200  # timed blocks, after one dropped warm-up block
 CHURN_OPS = 2000  # cached spawn+joins (and ping-pongs) per block
 PHYSICAL_OPS = 300  # uncached spawn+joins (and Thread starts) per block
 SHIM_OPS = 1000  # shimmed Thread start+joins per block
+LADDER_OPS = 2000  # spawn+joins per rung per block of --ladder
 RETENTION_BLOCKS = 40  # timed blocks of --retention
 IDLE_WORKERS = 100  # idle workers parked for each --retention run
 WINDOW_S = 1.0  # the sleep whose passes and CPU a --retention run counts
@@ -148,6 +169,259 @@ class PingPong:
         self.stop = True
         self.ping.release()
         self.partner.join()
+
+
+_PENDING = object()
+
+
+class _LadderWorker:
+    __slots__ = ("park", "task", "idle_since")
+
+    def __init__(self):
+        self.park = _thread.allocate_lock()
+        self.park.acquire()
+        self.task = None
+        self.idle_since = 0
+
+
+class _BareStore:
+    """Rung 2: a list; append and pop are each atomic under the GIL."""
+
+    def __init__(self):
+        self.items = []
+
+    def push(self, w):
+        self.items.append(w)
+
+    def pop(self):
+        items = self.items
+        return items.pop() if items else None
+
+
+class _LockedStore(_BareStore):
+    """Rung 3: the list under a lock, with a pop count and a peak."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = _thread.allocate_lock()
+        self.pops = self.peak = 0
+
+    def push(self, w):
+        lock = self.lock
+        lock.acquire()
+        items = self.items
+        items.append(w)
+        if len(items) > self.peak:
+            self.peak = len(items)
+        lock.release()
+
+    def pop(self):
+        lock = self.lock
+        lock.acquire()
+        items = self.items
+        w = items.pop() if items else None
+        if w is not None:
+            self.pops += 1
+        lock.release()
+        return w
+
+
+class _StampedStore(_LockedStore):
+    """Rung 5: and a monotonic_ns stamp on every push."""
+
+    def push(self, w):
+        lock = self.lock
+        lock.acquire()
+        w.idle_since = time.monotonic_ns()
+        items = self.items
+        items.append(w)
+        if len(items) > self.peak:
+            self.peak = len(items)
+        lock.release()
+
+
+class _Current(threading.local):
+    worker = None
+
+
+_current = _Current()
+
+
+class _Handle:
+    """Rung 4: the task record a join waits on."""
+
+    __slots__ = ("entry", "arg", "latch", "value", "worker")
+
+    def __init__(self, entry, arg):
+        lk = _thread.allocate_lock()
+        lk.acquire()
+        self.latch, self.entry, self.arg, self.value = lk, entry, arg, _PENDING
+
+    def join(self):
+        w = _current.worker
+        if w is not None and w.task is self:
+            raise SystemExit("a task joined itself")
+        if self.value is _PENDING:
+            lk = self.latch
+            lk.acquire()
+            lk.release()
+        return self.value
+
+
+def _latch_loop(w, store):  # rung 1's worker: no store
+    park = w.park
+    while True:
+        park.acquire()
+        lk = w.task
+        if lk is None:
+            return
+        w.task = None
+        lk.release()
+
+
+def _store_loop(w, store):  # rungs 2 and 3
+    park, push = w.park, store.push
+    while True:
+        push(w)
+        park.acquire()
+        lk = w.task
+        if lk is None:
+            return
+        w.task = None
+        lk.release()
+
+
+def _handle_loop(w, store):  # rungs 4 and 5
+    park, push = w.park, store.push
+    _current.worker = w
+    while True:
+        push(w)
+        park.acquire()
+        h = w.task
+        if h is None:
+            return
+        h.value = h.entry(h.arg)
+        h.entry = h.arg = None
+        w.task = None
+        h.latch.release()
+
+
+def _pop(store):
+    """The parked worker; it may not have pushed itself yet."""
+    w = store.pop()
+    while w is None:
+        time.sleep(0)
+        w = store.pop()
+    return w
+
+
+class Rung:
+    """One minimal recycler of the ladder: a worker thread and its store."""
+
+    def __init__(self, loop, store):
+        self.store, self.w = store, _LadderWorker()
+        self.thread = threading.Thread(target=loop, args=(self.w, store))
+        self.thread.start()
+        if store is not None:
+            self.store.push(_pop(store))  # once it has parked
+
+    def latch_block(self, n: int) -> float:
+        """Rung 1: mean µs of n hand-offs joined on a fresh latch each."""
+        w, allocate = self.w, _thread.allocate_lock
+        park = w.park
+        t0 = perf_counter_ns()
+        for _ in range(n):
+            lk = allocate()
+            lk.acquire()
+            w.task = lk
+            park.release()
+            lk.acquire()
+        return (perf_counter_ns() - t0) / n / 1e3
+
+    def store_block(self, n: int) -> float:
+        """Rungs 2 and 3: the same, with the worker popped from the store."""
+        pop, allocate = self.store.pop, _thread.allocate_lock
+        t0 = perf_counter_ns()
+        for _ in range(n):
+            lk = allocate()
+            lk.acquire()
+            w = pop()
+            if w is None:
+                w = _pop(self.store)
+            w.task = lk
+            w.park.release()
+            lk.acquire()
+        return (perf_counter_ns() - t0) / n / 1e3
+
+    def handle_block(self, n: int) -> float:
+        """Rungs 4 and 5: a handle per task, its value checked."""
+        pop, Handle = self.store.pop, _Handle
+        t0 = perf_counter_ns()
+        for i in range(n):
+            h = Handle(echo, i)
+            w = pop()
+            if w is None:
+                w = _pop(self.store)
+            h.worker = w
+            w.task = h
+            w.park.release()
+            if h.join() != i:
+                raise SystemExit("wrong join value")
+        return (perf_counter_ns() - t0) / n / 1e3
+
+    def close(self):
+        w = self.w if self.store is None else _pop(self.store)
+        w.task = None
+        w.park.release()
+        self.thread.join()
+
+
+LADDER = ("floor", "latch", "bare_store", "locked_store", "handle",
+          "stamp", "runtime")
+
+
+def ladder_main(a, cpu: int) -> int:
+    """The --ladder timing of a.base's spawn+join, rung by rung."""
+    tc = load_tree(a.base, "threadcache_ladder")
+    rt = tc.ThreadCache(enabled=True, retention=tc.RetentionConfig())
+    pp = PingPong()
+    rungs = [Rung(_latch_loop, None), Rung(_store_loop, _BareStore()),
+             Rung(_store_loop, _LockedStore()),
+             Rung(_handle_loop, _LockedStore()),
+             Rung(_handle_loop, _StampedStore())]
+    timers = dict(zip(LADDER, (
+        pp.block, rungs[0].latch_block, rungs[1].store_block,
+        rungs[2].store_block, rungs[3].handle_block, rungs[4].handle_block,
+        lambda n: spawn_join_block(rt, n))))
+    rows = []
+    try:
+        for b in range(BLOCKS + 1):  # block 0 warms up and is dropped
+            row = {}
+            for name in (LADDER if b % 2 else LADDER[::-1]):
+                row[name] = timers[name](LADDER_OPS)
+            if b:
+                rows.append(row)
+    finally:
+        pp.close()
+        for r in rungs:
+            r.close()
+        rt.shutdown()
+    out = {}
+    for k, name in enumerate(LADDER):
+        key = f"{k}.{name}"
+        out[f"{key}_us"] = summary([r[name] for r in rows])
+        out[f"{key}.over_floor"] = summary([r[name] / r["floor"]
+                                            for r in rows])
+        if k:
+            below = LADDER[k - 1]
+            out[f"{key}.increment_us"] = summary(
+                [r[name] - r[below] for r in rows])
+            out[f"{key}.increment_over_floor"] = summary(
+                [(r[name] - r[below]) / r["floor"] for r in rows])
+    report(out, rows, cpu, a.out, {
+        "tree": a.base, "mode": "ladder", "blocks": BLOCKS,
+        "ops": LADDER_OPS, "rungs": list(LADDER)})
+    return 0
 
 
 def summary(vals) -> dict:
@@ -250,17 +524,25 @@ def report(out: dict, rows, cpu: int, path, meta: dict):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("base", help="source tree compared against")
-    ap.add_argument("change", help="source tree measured against base")
+    ap.add_argument("base", help="source tree compared against; with "
+                    "--ladder, the one tree timed")
+    ap.add_argument("change", nargs="?",
+                    help="source tree measured against base")
     ap.add_argument("--json", dest="out", default=None,
                     help="also write every block and the summary here")
     ap.add_argument("--retention", action="store_true",
                     help="time retention passes on idle workers instead")
+    ap.add_argument("--ladder", action="store_true",
+                    help="time one tree's spawn+join rung by rung instead")
     a = ap.parse_args(argv)
+    if (a.change is None) != a.ladder:
+        ap.error("--ladder takes one tree; the other modes take two")
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})  # before any thread: they inherit it
     if a.retention:
         return retention_main(a, cpu)
+    if a.ladder:
+        return ladder_main(a, cpu)
 
     sides = ("base", "change")
     tc = {s: load_tree(t, f"threadcache_{s}")

@@ -1,13 +1,18 @@
-"""LIFO store of idle workers: one lock over a list kept oldest-first.
+"""LIFO store of idle workers, kept oldest-first in a list.
 
-push applies the retention clamp, stamps ``idle_since`` (monotonic ns) and
-appends, all under the lock; pop takes the newest from the end, and the
-culls slice from the front. The lock also guards the exact peak depth and
-the count of successful pops (the runtime's cache hits). A retention pass
-sums the stamps when it runs, so the hit path keeps no running total.
-``close`` drains the store; a closed store hands every later pusher back to
-exit, and is how a runtime keeps nothing, whether it was shut down, built
-uncached, clamped to 0 or forked from a task.
+Under Unbounded, the default, ``IdleStore``'s push and pop take no lock:
+``list.append`` and ``list.pop`` are each atomic under the GIL, as a
+Treiber stack's push is one CAS. Nothing reaps it, so push stamps nothing.
+It locks only to raise the peak, which thus never falls, never exceeds
+the true peak, and is exact unless a pop or push runs during the push that
+reaches it. ``close`` drains by atomic ``pop(0)``s, so no worker has two
+owners, and a push that finds the store closed after its append takes its
+worker back, unless a drain or a spawn took it first. Clamp, AgeOut and
+IntegralBudget build a ``LockedIdleStore``: push applies the clamp, stamps
+``idle_since`` (monotonic ns) and keeps the exact peak, and push, pop,
+close and each pass hold one lock; a miss and a refused push skip it.
+A closed store hands every later pusher back to exit, and is how a runtime
+keeps nothing: shut down, built uncached, clamped to 0 or forked from a task.
 
 Under a reaping policy the front (oldest) worker is the ``timer``, read
 from the list itself: a worker pushed onto an empty store becomes it and
@@ -16,9 +21,7 @@ changes and it reads the role once, as it parks. The timer parks for
 ``period`` seconds at a time and then calls ``run_pass``: one hold of the
 lock checks that it is still the front, culls the k oldest that
 ``retention.to_cull`` counts, and keeps a culled timer at the front.
-
-The paper's CAS push and per-CPU shards are not reproduced: under the
-GIL an emulated CAS is itself a lock, and shards only add work.
+The paper's per-CPU shards are not reproduced: under the GIL they add work.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ from .retention import Policy, RetentionConfig
 
 
 class IdleStore:
-    """Idle workers, oldest first; every operation takes the one lock."""
+    """The Unbounded store; built with any other policy, a LockedIdleStore."""
+
+    def __new__(cls, retention: Optional[RetentionConfig] = None):
+        if cls is IdleStore and retention is not None \
+                and retention.policy is not Policy.UNBOUNDED:
+            cls = LockedIdleStore
+        return super().__new__(cls)
 
     def __init__(self, retention: Optional[RetentionConfig] = None):
         cfg = retention if retention is not None else RetentionConfig()
@@ -44,53 +53,47 @@ class IdleStore:
         self._lock = threading.Lock()
         self._items: List = []
         self._peak = 0
-        self._pops = 0
         self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
         self._timed = cfg.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
         # seconds the timer parks between passes; a longer lock wait raises
         self.period = min(cfg.reap_period, threading.TIMEOUT_MAX)
 
-    # push and pop run on every cache hit, so they call acquire/release
-    # directly: about half the cost of a ``with`` block on CPython 3.11
     def push(self, worker) -> Sequence:
-        """Stamp and publish worker; returns the workers that must exit: the
-        oldest, evicted to make room for it, or worker itself when the store
-        is closed and refuses it."""
-        lock = self._lock
-        lock.acquire()
-        try:
-            if self._closed:
-                return (worker,)
-            items = self._items
-            evicted = ()  # one shared constant: no allocation
-            if len(items) >= self._clamp:
-                evicted = self._take_front(
-                    _retention.admit(len(items), self._retention))
-            worker.idle_since = time.monotonic_ns()
-            items.append(worker)
-            if len(items) > self._peak:
-                self._peak = len(items)
-            return evicted
-        finally:
-            lock.release()
+        """Publish worker; returns the workers that must exit: worker itself
+        when the store is closed and refuses it."""
+        if self._closed:
+            return (worker,)
+        items = self._items
+        items.append(worker)
+        n = len(items)
+        if n > self._peak:
+            with self._lock:  # only a new peak: it never falls
+                self._peak = max(self._peak, n)
+        if not self._closed:
+            return ()
+        try:  # closed since the first check: take worker back
+            items.remove(worker)
+            return (worker,)
+        except ValueError:  # drained or popped: its taker wakes it
+            return ()
 
     def pop(self):
         """Remove and return the newest worker, or None when empty."""
-        lock = self._lock
-        lock.acquire()
-        try:
-            items = self._items
-            if not items:
-                return None
-            w = items.pop()
-            self._pops += 1
-            return w
-        finally:
-            lock.release()
+        items = self._items
+        try:  # tested first: a miss raises nothing
+            return items.pop() if items else None
+        except IndexError:  # a racing pop took the last
+            return None
 
-    def _take_front(self, k: int) -> List:  # caller holds the lock
-        out = self._items[:k]
-        del self._items[:k]
+    def _take_front(self, k: int) -> List:
+        # atomic pop(0)s: a bare pop between a slice and a del would hand
+        # one worker to two owners
+        items, out = self._items, []
+        try:
+            while len(out) < k:
+                out.append(items.pop(0))
+        except IndexError:  # empty, maybe since a racing pop
+            pass
         return out
 
     def cull_oldest(self, k: int) -> List:
@@ -113,14 +116,13 @@ class IdleStore:
             return self._take_front(k)
 
     def close(self) -> List:
-        """Drain the store and refuse later pushes; returns the drained."""
-        with self._lock:
-            self._closed = True
-            return self._take_front(len(self._items))
+        """Refuse later pushes, then drain; returns the drained."""
+        self._closed = True
+        return self._take_front(sys.maxsize)
 
     def after_fork(self):
         """In a forked child: forget the stored workers, which did not fork,
-        keeping the pop count and peak."""
+        keeping the peak."""
         self._lock._at_fork_reinit()
         self._items.clear()
 
@@ -160,9 +162,51 @@ class IdleStore:
         return len(self._items)
 
     @property
-    def peak(self) -> int:
+    def peak(self) -> int:  # see the module docstring under Unbounded
         return self._peak
 
-    @property
-    def pops(self) -> int:  # successful pops since creation
-        return self._pops
+
+class LockedIdleStore(IdleStore):
+    """The store of Clamp, AgeOut and IntegralBudget: one lock over all."""
+
+    # push and pop run on every cache hit, so they call acquire/release
+    # directly: about half the cost of a ``with`` block on CPython 3.11
+    def push(self, worker) -> Sequence:
+        """Stamp and publish worker; returns the workers that must exit: the
+        oldest, evicted to make room for it, or worker itself when the store
+        is closed and refuses it."""
+        if self._closed:  # a store never reopens: refuse without the lock
+            return (worker,)
+        lock = self._lock
+        lock.acquire()
+        try:
+            if self._closed:
+                return (worker,)
+            items = self._items
+            evicted = ()  # one shared constant: no allocation
+            if len(items) >= self._clamp:
+                evicted = self._take_front(
+                    _retention.admit(len(items), self._retention))
+            worker.idle_since = time.monotonic_ns()
+            items.append(worker)
+            if len(items) > self._peak:
+                self._peak = len(items)
+            return evicted
+        finally:
+            lock.release()
+
+    def pop(self):
+        """Remove and return the newest worker, or None when empty."""
+        if not self._items:  # a miss takes no lock
+            return None
+        lock = self._lock
+        lock.acquire()
+        try:
+            items = self._items
+            return items.pop() if items else None
+        finally:
+            lock.release()
+
+    def close(self) -> List:
+        with self._lock:
+            return super().close()

@@ -16,9 +16,10 @@ Fast-path rules, in order, for every recycle:
 Joiners therefore never observe a worker in the store whose task has not
 completed.
 
-A cache hit takes the store's lock once (the pop, which also counts the
-hit), writes the task into the worker's ``task`` slot and releases the
-worker's park lock; it takes no runtime lock. Each worker owns one park
+A cache hit pops a worker, counts itself in the worker's ``hits``, writes
+the task into the worker's ``task`` slot and releases the worker's park
+lock. It takes no runtime lock, and under Unbounded, the default, no lock
+of the store's either. Each worker owns one park
 lock for life: a successful acquire leaves it held, which re-arms it, and
 whoever removes a worker from the store releases it exactly once, as a
 worker the closed store refuses releases its own. A worker woken with no
@@ -99,11 +100,32 @@ class TaskPoisoned(Exception):
     """The task's entry raised; the original exception is the __cause__."""
 
 
-class _Poisoned:
-    __slots__ = ("exc",)
+# the only args type that the default sys.unraisablehook accepts
+_UnraisableHookArgs = next(t for t in tuple.__subclasses__()
+                           if t.__name__ == "UnraisableHookArgs")
 
-    def __init__(self, exc):
-        self.exc = exc
+
+def _report(exc, started_by):
+    """Hand exc to sys.unraisablehook, as ``_thread`` reports a thread's."""
+    args = _UnraisableHookArgs((type(exc), exc, exc.__traceback__,
+                                "Exception ignored in thread started by",
+                                started_by))
+    try:
+        (sys.unraisablehook or sys.__unraisablehook__)(args)
+    except Exception:  # a failing hook: the default one reports
+        sys.__unraisablehook__(args)
+
+
+class _Poisoned:
+    __slots__ = ("exc", "entry", "_unreported")
+
+    def __init__(self, exc, entry=None):
+        self.exc, self.entry = exc, entry
+        self._unreported = _thread.allocate_lock()
+
+    def report(self):  # once, whether the worker or detach() calls first
+        if self._unreported.acquire(False):
+            _report(self.exc, self.entry)
 
 
 def logical_exit(status: Any = None):
@@ -202,12 +224,15 @@ class JoinHandle:
         return v
 
     def detach(self):
-        """Give up the right to join; the worker still recycles on completion."""
+        """Give up the right to join; the worker still recycles on completion.
+        A task that raised, or raises later, goes to sys.unraisablehook."""
         st = self._state
         if st != JOINABLE:
             raise UsageError("cannot detach a handle already %s" %
                              ("joined" if st == JOINED else "detached"))
         self._state = DETACHED
+        if type(self._value) is _Poisoned:  # done: its worker did not report
+            self._value.report()
 
 
 class Worker(_OSThread):
@@ -227,7 +252,7 @@ class Worker(_OSThread):
     exits.
     """
 
-    __slots__ = ("worker_id", "idle_since", "task",
+    __slots__ = ("worker_id", "idle_since", "task", "hits",
                  "_park_lock", "_tstate_lock")
 
     _initialized = True
@@ -241,6 +266,7 @@ class Worker(_OSThread):
         self._name = f"threadcache-worker-{worker_id}"
         self.worker_id = worker_id
         self.task = task  # not a thread arg: the thread would keep it for life
+        self.hits = 0  # cache hits; only the spawn that popped it writes
         lk = _thread.allocate_lock()
         lk.acquire()
         self._park_lock = lk
@@ -265,10 +291,11 @@ class ThreadCache:
                                 else RetentionConfig.from_env())
         if not enabled:
             self._store.close()
-        # cold-path counters; cache hits are counted by the store's pops
+        # cold-path counters; cache hits are counted on the workers
         self._count_lock = threading.Lock()
         self._misses = 0  # spawns past the shutdown check that found no idle
         self._creates = 0
+        self._gone_hits = 0  # the hits of workers that exited or did not fork
         self._live: Dict[int, Worker] = {}  # live workers by worker_id
         self._closed = False  # set by shutdown
         _runtimes.add(self)
@@ -298,6 +325,7 @@ class ThreadCache:
         task = JoinHandle(entry, arg)
         w = self._store.pop()
         if w is not None:
+            w.hits += 1  # w is the popper's until its park lock is released
             task.worker = w
             w.task = task
             w._park_lock.release()
@@ -329,15 +357,19 @@ class ThreadCache:
         """Snapshot of the counters, exact at quiescence.
 
         spawns_total is cache hits plus misses, and physical_culls is
-        physical creates minus live workers. physical_creates,
-        physical_culls and spawns_total - cache_hits come from one lock
-        section; cache_hits, current_idle and peak_idle are read without
-        it, so under load they need not match the others.
+        physical creates minus live workers. A hit is counted on the worker
+        popped, by its spawn, without a lock; cache_hits sums the live and
+        gone workers' hits in the lock section that reads the others, and
+        current_idle and peak_idle are read without it, so under load they
+        need not match the others. peak_idle never falls and never exceeds
+        the true peak (see ``idle_store``). A spawn that races ``shutdown``
+        may run its task on a worker the closing store has not yet refused,
+        instead of raising UsageError.
         """
         with self._count_lock:
             m, c, live = self._misses, self._creates, len(self._live)
+            h = self._gone_hits + sum(w.hits for w in self._live.values())
         store = self._store
-        h = store.pops
         return CacheStats(spawns_total=h + m, cache_hits=h,
                           physical_creates=c, physical_culls=c - live,
                           current_idle=store.count, peak_idle=store.peak)
@@ -397,7 +429,9 @@ class ThreadCache:
             except SystemExit as exc:  # logical_exit(), sys.exit()
                 task._value = exc.code
             except BaseException as exc:
-                task._value = _Poisoned(exc)
+                task._value = _Poisoned(exc, task._entry)
+                if task._state == DETACHED:  # else detach() reports it
+                    task._value.report()
             # as Thread.run drops its target: a kept handle pins no entry or
             # arg, and a CachedThread is in no cycle with its handle
             task._entry = task._arg = arg = None
@@ -419,6 +453,7 @@ class ThreadCache:
                 break
         with self._count_lock:
             del self._live[worker.worker_id]
+            self._gone_hits += worker.hits
         with threading._active_limbo_lock:  # a program may have deleted it
             threading._active.pop(ident, None)
         worker._tstate_lock.release()
@@ -459,6 +494,7 @@ def _after_fork_in_child():
             rt._store.close()
         for w in [w for w in rt._live.values() if w._ident != me]:
             del rt._live[w.worker_id]
+            rt._gone_hits += w.hits
             w._reset_internal_locks(False)  # as threading._after_fork does
             task = w.task
             if task is not None:

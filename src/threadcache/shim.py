@@ -69,7 +69,7 @@ import threading
 import types
 from typing import Mapping, Optional
 
-from .runtime import ThreadCache, UsageError, Worker, current_task
+from .runtime import ThreadCache, UsageError, Worker, _report, current_task
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -82,9 +82,6 @@ _install_lock = threading.Lock()
 _NOT_STARTED = threading.Event()  # shared by every unstarted CachedThread
 _runtime: Optional[ThreadCache] = None
 _own_runtime: Optional[ThreadCache] = None  # install() built it
-# the only args type that the default sys.unraisablehook accepts
-_UnraisableHookArgs = next(t for t in tuple.__subclasses__()
-                           if t.__name__ == "UnraisableHookArgs")
 
 
 def _spawn(body):
@@ -210,9 +207,7 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
         except SystemExit:
             pass
         except BaseException as exc:  # as _thread reports it
-            (sys.unraisablehook or sys.__unraisablehook__)(_UnraisableHookArgs(
-                (type(exc), exc, exc.__traceback__,
-                 "Exception ignored in thread started by", function)))
+            _report(exc, function)
 
     handle = _spawn(body)
     if handle is None:

@@ -40,11 +40,15 @@ class TestLifoBasics:
         assert s.count == 1
 
     def test_idle_since_stamped_by_push(self, fake_workers):
-        (w,) = fake_workers(1)
-        s = make_store()
+        # a timed store's push stamps; the Unbounded store's stamps nothing,
+        # since nothing reaps it
+        a, b = fake_workers(2)
+        s = make_store(retention=RetentionConfig(policy=Policy.AGE_OUT))
         before = time.monotonic_ns()
-        s.push(w)
-        assert before <= w.idle_since <= time.monotonic_ns()
+        s.push(a)
+        assert before <= a.idle_since <= time.monotonic_ns()
+        make_store().push(b)
+        assert b.idle_since == 0
 
     def test_peak_tracks_high_water_mark(self, fake_workers):
         ws = fake_workers(3)
@@ -216,7 +220,7 @@ class TestRaces:
         assert s.pop() is a
         assert s.pop() is b
         assert s.pop() is None
-        assert (s.count, s.pops, s.integral(now=10**12)) == (0, 3, 0)
+        assert (s.count, s.peak, s.integral(now=10**12)) == (0, 2, 0)
 
     def test_pop_sees_pushes_from_every_thread(self, fake_workers):
         s = make_store()
@@ -232,43 +236,66 @@ class TestRaces:
         assert s.peak == 8
 
     def test_recycled_pool_stress_conserves_and_peak_exact(self):
-        # time-bounded: threads pop a worker and push it back under a tiny
-        # switch interval; a lost or duplicated update breaks the audit
-        pool = [FakeWorker(i) for i in range(32)]
-        s = make_store()
-        for w in pool:
-            s.push(w)
-        popped = [0] * 8
-        stop = threading.Event()
-
-        def churn(i):
-            while not stop.is_set():
-                w = s.pop()
-                if w is not None:
-                    popped[i] += 1
-                    s.push(w)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ts = [threading.Thread(target=churn, args=(i,)) for i in range(8)]
-            for t in ts:
-                t.start()
-            time.sleep(0.5)
-            stop.set()
-            for t in ts:
-                t.join(5.0)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in ts)
-        assert sum(popped) > 0
-        assert s.pops == sum(popped)  # exact: counted inside the lock
-        assert s.peak == len(pool)    # never above the pool, reached at fill
+        # the locked store keeps the exact peak, reached at the fill
+        s = make_store(retention=RetentionConfig(policy=Policy.AGE_OUT,
+                                                 max_idle_age=60.0))
+        pool, _ = recycle_pool(s)
+        assert s.peak == len(pool)
         left = s._items[::-1]
-        assert Counter(id(w) for w in left) == Counter(id(w) for w in pool)
         now = time.monotonic_ns()
         direct = sum(now - w.idle_since for w in left) / 1e9
         assert s.integral(now=now) == direct
+
+    def test_recycled_pool_stress_on_the_bare_store(self):
+        # the bare store's peak never falls and never exceeds the true
+        # peak, here at most the pool; half the pool is pushed by the
+        # racing threads, so new peaks are set while pushes race
+        s = make_store()
+        pool, peaks = recycle_pool(s, fill=16)
+        assert peaks == sorted(peaks)
+        assert 16 == peaks[0] and peaks[-1] <= len(pool)
+
+
+def recycle_pool(s, fill=32):
+    """Push fill workers of a pool of 32 onto s, then let 8 threads each
+    push two more of the rest and then pop a worker and push it back, under
+    a tiny switch interval, for 0.5 s; a lost or duplicated worker breaks
+    the audit. Returns the pool and the peaks sampled."""
+    pool = [FakeWorker(i) for i in range(32)]
+    for w in pool[:fill]:
+        s.push(w)
+    popped = [0] * 8
+    stop = threading.Event()
+
+    def churn(i):
+        for w in pool[fill:][i::8]:
+            s.push(w)
+        while not stop.is_set():
+            w = s.pop()
+            if w is not None:
+                popped[i] += 1
+                s.push(w)
+
+    peaks = [s.peak]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ts = [threading.Thread(target=churn, args=(i,)) for i in range(8)]
+        for t in ts:
+            t.start()
+        for _ in range(10):
+            time.sleep(0.05)
+            peaks.append(s.peak)
+        stop.set()
+        for t in ts:
+            t.join(5.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in ts)
+    assert sum(popped) > 0
+    left = s._items[::-1]
+    assert Counter(id(w) for w in left) == Counter(id(w) for w in pool)
+    return pool, peaks + [s.peak]
 
 
 class TestClose:
@@ -589,3 +616,107 @@ ROLE_CONFIGS = [
            st.integers(0, 3 * 10**9)), max_size=60))
 def test_a_stored_worker_keeps_its_role(cfg, steps):
     check_roles(cfg, steps)
+
+
+class Fates:
+    """A bare store, the workers that entered it, and every worker that an
+    operation handed out: refused by a push, drained by close or popped."""
+
+    def __init__(self, prefill: int):
+        self.s = IdleStore()
+        self.entered, self.out = [], []
+        for _ in range(prefill):
+            self.push()
+
+    def push(self):
+        w = FakeWorker(len(self.entered))
+        self.entered.append(w)
+        self.out += self.s.push(w)
+
+    def pop(self):
+        w = self.s.pop()
+        if w is not None:
+            self.out.append(w)
+
+    def close(self):
+        self.out += self.s.close()
+
+    def check(self):
+        """Each worker ended exactly once: handed out, or stored in a store
+        that is open."""
+        s = self.s
+        assert not (s.closed and s._items), "a closed store keeps a worker"
+        assert Counter(map(id, self.out + s._items)) == \
+            Counter(map(id, self.entered))
+        assert s.peak <= len(self.entered)
+
+
+STORE_CODES = {f.__code__ for f in (IdleStore.push, IdleStore.pop,
+                                    IdleStore.close, IdleStore._take_front)}
+
+
+def run_with_interjection(op, at: int, interject) -> bool:
+    """Run op, calling interject at the at-th opcode boundary that op
+    executes in the store's frames; False when op ended before it."""
+    count, fired = [0], [False]
+
+    def opcodes(frame, event, arg):
+        if event == "opcode":
+            if count[0] == at:
+                fired[0] = True
+                interject()  # a trace call: its own frames are not traced
+            count[0] += 1
+        return opcodes
+
+    def calls(frame, event, arg):
+        if frame.f_code in STORE_CODES:
+            frame.f_trace_opcodes = True
+            return opcodes
+        return None
+
+    old = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        op()
+    finally:
+        sys.settrace(old)
+    return fired[0]
+
+
+# main operation, the operations run to completion at one of its opcode
+# boundaries, and how many workers the store holds first
+OPCODE_SCENARIOS = [
+    ("push", ("close",), 0), ("push", ("close",), 1),
+    ("push", ("pop",), 0), ("push", ("pop",), 1),
+    ("push", ("pop", "close"), 1), ("push", ("close", "pop"), 1),
+    ("pop", ("close",), 1), ("pop", ("close",), 2),
+    ("close", ("pop",), 1), ("close", ("pop",), 2),
+    ("close", ("push",), 0), ("close", ("push",), 1),
+]
+
+
+@pytest.mark.parametrize("main,interjected,prefill", OPCODE_SCENARIOS,
+                         ids=[f"{m}-{'+'.join(i)}-{n}"
+                              for m, i, n in OPCODE_SCENARIOS])
+def test_bare_store_at_every_opcode_boundary(main, interjected, prefill):
+    """The bare store's push, pop and close against each other at opcode
+    granularity, where a thread switch may fall under the GIL. At every
+    boundary of the main operation the others run to completion, then the
+    main one finishes; afterwards, and once more without an interjection,
+    each worker ended exactly once."""
+    at = 0
+    while True:
+        f = Fates(prefill)
+
+        def interject():
+            for name in interjected:
+                getattr(f, name)()
+
+        fired = run_with_interjection(getattr(f, main), at, interject)
+        if not fired:
+            interject()  # after the main operation, for completeness
+        f.check()
+        if not fired:
+            break
+        at += 1
+    assert at > 10  # the main operation was stepped through

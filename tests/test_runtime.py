@@ -721,8 +721,8 @@ class TestRecyclingInvariants:
 
 class TestTinySwitchInterval:
     def test_counters_exact_under_concurrent_churn(self, runtime):
-        # time-bounded; hits are counted by the store's pop, misses by the
-        # runtime, and their sum must be every spawn made
+        # time-bounded; hits are counted on the workers that served them,
+        # misses by the runtime, and their sum must be every spawn made
         rt = runtime(enabled=True)
         made = [0] * 8
         stop = threading.Event()
@@ -749,7 +749,7 @@ class TestTinySwitchInterval:
         s = rt.stats()
         assert s.spawns_total == sum(made) > 0
         assert s.spawns_total == s.cache_hits + s.physical_creates
-        assert s.cache_hits == rt._store.pops
+        assert s.cache_hits == sum(w.hits for w in rt._live.values())
         # every worker ends up idle exactly once: no loss, no duplicate
         assert wait_until(lambda: rt.stats().current_idle
                           == rt.stats().physical_creates)
@@ -798,6 +798,82 @@ class TestTinySwitchInterval:
         assert s.current_idle == 0 and rt._store.timer is None
         assert seen["culled"] == s.physical_culls == s.physical_creates > 1
         assert seen["most"] == 1
+
+
+class TestDetachedFailure:
+    """A detached task that raises is handed to sys.unraisablehook once, as
+    a raw ``_thread`` start's is, whether it ends before or after the
+    detach; a joined one raises TaskPoisoned instead."""
+
+    @staticmethod
+    def hooked(monkeypatch):
+        # pytest turns an unraisable exception into an error: our own hook
+        seen = []
+        monkeypatch.setattr(sys, "unraisablehook", seen.append)
+        return seen
+
+    def test_reported_once_whether_detached_before_or_after_the_end(
+            self, runtime, monkeypatch):
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+        go = threading.Event()
+
+        def late():
+            go.wait(5.0)
+            raise ValueError("late")
+
+        def early():
+            raise KeyError("early")
+
+        h = rt.spawn(late)
+        h.detach()  # before the end: the worker reports
+        go.set()
+        assert wait_until(lambda: len(seen) == 1)
+        h = rt.spawn(early)
+        assert h.wait(5.0)
+        assert wait_until(lambda: quiescent(rt))
+        assert len(seen) == 1
+        h.detach()  # after the end: detach reports
+        assert len(seen) == 2
+        assert [(type(u.exc_value), u.object, u.err_msg) for u in seen] == [
+            (ValueError, late, "Exception ignored in thread started by"),
+            (KeyError, early, "Exception ignored in thread started by")]
+        assert all(u.exc_traceback is not None for u in seen)
+        with pytest.raises(TaskPoisoned):  # joined: not reported
+            rt.spawn(early).join()
+        assert wait_until(lambda: quiescent(rt)) and len(seen) == 2
+
+    def test_detach_racing_the_end_reports_each_once(self, runtime,
+                                                     monkeypatch):
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+        n = 300
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(n):
+                rt.spawn(lambda: 1 / 0).detach()
+        finally:
+            sys.setswitchinterval(old)
+        assert wait_until(lambda: len(seen) >= n and quiescent(rt))
+        time.sleep(0.05)
+        assert len(seen) == n
+        assert {type(u.exc_value) for u in seen} == {ZeroDivisionError}
+
+    def test_a_worker_outlives_a_failing_hook(self, runtime, monkeypatch):
+        def broken(u):
+            raise RuntimeError("hook failed")
+
+        monkeypatch.setattr(sys, "unraisablehook", broken)
+        defaults = []
+        monkeypatch.setattr(sys, "__unraisablehook__", defaults.append)
+        rt = runtime(enabled=True)
+        h = rt.spawn(lambda: 1 / 0)
+        h.detach()
+        assert wait_until(lambda: len(defaults) == 1 and quiescent(rt))
+        assert rt.spawn(lambda: 4).join() == 4
+        s = rt.stats()
+        assert (s.cache_hits, s.physical_creates) == (1, 1)
 
 
 class TestShutdown:
