@@ -210,3 +210,8 @@ class LockedIdleStore(IdleStore):
     def close(self) -> List:
         with self._lock:
             return super().close()
+
+    def _take_front(self, k: int) -> List:  # under the lock: no pop races
+        out = self._items[:k]
+        del self._items[:k]
+        return out
