@@ -1,18 +1,13 @@
 """LIFO store of idle workers, kept oldest-first in a list.
 
-Under Unbounded, the default, ``IdleStore``'s push and pop take no lock:
-``list.append`` and ``list.pop`` are each atomic under the GIL, as a
-Treiber stack's push is one CAS. Nothing reaps it, so push stamps nothing.
-It locks only to raise the peak, which thus never falls, never exceeds
-the true peak, and is exact unless a pop or push runs during the push that
-reaches it. ``close`` drains by atomic ``pop(0)``s, so no worker has two
-owners, and a push that finds the store closed after its append takes its
-worker back, unless a drain or a spawn took it first. Clamp, AgeOut and
-IntegralBudget build a ``LockedIdleStore``: push applies the clamp, stamps
-``idle_since`` (monotonic ns) and keeps the exact peak, and push, pop,
-close and each pass hold one lock; a miss and a refused push skip it.
-A closed store hands every later pusher back to exit, and is how a runtime
-keeps nothing: shut down, built uncached, clamped to 0 or forked from a task.
+Under Unbounded, the default, push and pop take no lock: ``list.append``
+and ``list.pop`` are atomic under the GIL, as a Treiber stack's push is one
+CAS. Push stamps nothing, and locks only to raise the peak, which thus never
+falls and is exact unless a push or pop races the push that reaches it. The
+other policies' push and pop hold the lock, to clamp, stamp ``idle_since``
+(monotonic ns) and keep the exact peak. ``close`` drains by atomic
+``pop(0)``s and refuses every later push: a runtime shut down, built
+uncached, clamped to 0 or forked from a task keeps nothing.
 
 Under a reaping policy the front (oldest) worker is the ``timer``, read
 from the list itself: a worker pushed onto an empty store becomes it and
@@ -36,13 +31,7 @@ from .retention import Policy, RetentionConfig
 
 
 class IdleStore:
-    """The Unbounded store; built with any other policy, a LockedIdleStore."""
-
-    def __new__(cls, retention: Optional[RetentionConfig] = None):
-        if cls is IdleStore and retention is not None \
-                and retention.policy is not Policy.UNBOUNDED:
-            cls = LockedIdleStore
-        return super().__new__(cls)
+    """Idle workers, oldest first; bare under Unbounded, else locked."""
 
     def __init__(self, retention: Optional[RetentionConfig] = None):
         cfg = retention if retention is not None else RetentionConfig()
@@ -54,45 +43,66 @@ class IdleStore:
         self._items: List = []
         self._peak = 0
         self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
+        self._bare = cfg.policy is Policy.UNBOUNDED
         self._timed = cfg.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
         # seconds the timer parks between passes; a longer lock wait raises
         self.period = min(cfg.reap_period, threading.TIMEOUT_MAX)
 
+    # the locked hit path calls acquire/release: half the cost of ``with``
     def push(self, worker) -> Sequence:
-        """Publish worker; returns the workers that must exit: worker itself
-        when the store is closed and refuses it."""
-        if self._closed:
+        """Publish worker; returns the workers that must exit: the oldest,
+        evicted for it; worker, refused by a closed store; or, when the
+        store closes during the push, what it then drains again."""
+        if self._closed:  # a store never reopens: refuse without the lock
             return (worker,)
         items = self._items
-        items.append(worker)
-        n = len(items)
-        if n > self._peak:
-            with self._lock:  # only a new peak: it never falls
-                self._peak = max(self._peak, n)
-        if not self._closed:
-            return ()
-        try:  # closed since the first check: take worker back
-            items.remove(worker)
-            return (worker,)
-        except ValueError:  # drained or popped: its taker wakes it
-            return ()
+        if self._bare:
+            items.append(worker)
+            if len(items) > self._peak:
+                with self._lock:  # only a new peak: it never falls
+                    self._peak = max(self._peak, len(items))
+            # closed since: drain again; whoever took worker first wakes it
+            return self.close() if self._closed else ()
+        lock = self._lock
+        lock.acquire()
+        try:
+            if self._closed:
+                return (worker,)
+            evicted = ()  # one shared constant: no allocation
+            if len(items) >= self._clamp:
+                evicted = self._take_front(
+                    _retention.admit(len(items), self._retention))
+            worker.idle_since = time.monotonic_ns()
+            items.append(worker)
+            if len(items) > self._peak:
+                self._peak = len(items)
+            return evicted
+        finally:
+            lock.release()
 
     def pop(self):
         """Remove and return the newest worker, or None when empty."""
         items = self._items
-        try:  # tested first: a miss raises nothing
-            return items.pop() if items else None
-        except IndexError:  # a racing pop took the last
+        if not items:  # a miss takes no lock and raises nothing
             return None
-
-    def _take_front(self, k: int) -> List:
-        # atomic pop(0)s: a bare pop between a slice and a del would hand
-        # one worker to two owners
-        items, out = self._items, []
+        if self._bare:
+            try:
+                return items.pop()
+            except IndexError:  # a racing pop took the last
+                return None
+        lock = self._lock
+        lock.acquire()
         try:
-            while len(out) < k:
+            return items.pop() if items else None
+        finally:
+            lock.release()
+
+    def _take_front(self, k: int) -> List:  # caller holds the lock
+        items, out = self._items, []
+        try:  # atomic pop(0)s: a bare pop between a slice and a del would
+            while len(out) < k:  # hand one worker to two owners
                 out.append(items.pop(0))
-        except IndexError:  # empty, maybe since a racing pop
+        except IndexError:  # empty, maybe since a racing bare pop
             pass
         return out
 
@@ -116,9 +126,10 @@ class IdleStore:
             return self._take_front(k)
 
     def close(self) -> List:
-        """Refuse later pushes, then drain; returns the drained."""
-        self._closed = True
-        return self._take_front(sys.maxsize)
+        """Drain the store and refuse later pushes; returns the drained."""
+        with self._lock:
+            self._closed = True
+            return self._take_front(sys.maxsize)
 
     def after_fork(self):
         """In a forked child: forget the stored workers, which did not fork,
@@ -162,56 +173,6 @@ class IdleStore:
         return len(self._items)
 
     @property
-    def peak(self) -> int:  # see the module docstring under Unbounded
+    def peak(self) -> int:
         return self._peak
 
-
-class LockedIdleStore(IdleStore):
-    """The store of Clamp, AgeOut and IntegralBudget: one lock over all."""
-
-    # push and pop run on every cache hit, so they call acquire/release
-    # directly: about half the cost of a ``with`` block on CPython 3.11
-    def push(self, worker) -> Sequence:
-        """Stamp and publish worker; returns the workers that must exit: the
-        oldest, evicted to make room for it, or worker itself when the store
-        is closed and refuses it."""
-        if self._closed:  # a store never reopens: refuse without the lock
-            return (worker,)
-        lock = self._lock
-        lock.acquire()
-        try:
-            if self._closed:
-                return (worker,)
-            items = self._items
-            evicted = ()  # one shared constant: no allocation
-            if len(items) >= self._clamp:
-                evicted = self._take_front(
-                    _retention.admit(len(items), self._retention))
-            worker.idle_since = time.monotonic_ns()
-            items.append(worker)
-            if len(items) > self._peak:
-                self._peak = len(items)
-            return evicted
-        finally:
-            lock.release()
-
-    def pop(self):
-        """Remove and return the newest worker, or None when empty."""
-        if not self._items:  # a miss takes no lock
-            return None
-        lock = self._lock
-        lock.acquire()
-        try:
-            items = self._items
-            return items.pop() if items else None
-        finally:
-            lock.release()
-
-    def close(self) -> List:
-        with self._lock:
-            return super().close()
-
-    def _take_front(self, k: int) -> List:  # under the lock: no pop races
-        out = self._items[:k]
-        del self._items[:k]
-        return out

@@ -16,10 +16,9 @@ Fast-path rules, in order, for every recycle:
 Joiners therefore never observe a worker in the store whose task has not
 completed.
 
-A cache hit pops a worker, counts itself in the worker's ``hits``, writes
-the task into the worker's ``task`` slot and releases the worker's park
-lock. It takes no runtime lock, and under Unbounded, the default, no lock
-of the store's either. Each worker owns one park
+A cache hit pops a worker, counts itself in its ``hits``, writes the task
+into its ``task`` slot and releases its park lock: no runtime lock, and
+under Unbounded, the default, no store lock. Each worker owns one park
 lock for life: a successful acquire leaves it held, which re-arms it, and
 whoever removes a worker from the store releases it exactly once, as a
 worker the closed store refuses releases its own. A worker woken with no
@@ -100,32 +99,25 @@ class TaskPoisoned(Exception):
     """The task's entry raised; the original exception is the __cause__."""
 
 
-# the only args type that the default sys.unraisablehook accepts
-_UnraisableHookArgs = next(t for t in tuple.__subclasses__()
-                           if t.__name__ == "UnraisableHookArgs")
-
-
-def _report(exc, started_by):
-    """Hand exc to sys.unraisablehook, as ``_thread`` reports a thread's."""
-    args = _UnraisableHookArgs((type(exc), exc, exc.__traceback__,
-                                "Exception ignored in thread started by",
-                                started_by))
-    try:
-        (sys.unraisablehook or sys.__unraisablehook__)(args)
-    except Exception:  # a failing hook: the default one reports
-        sys.__unraisablehook__(args)
-
-
 class _Poisoned:
     __slots__ = ("exc", "entry", "_unreported")
+    # the only args type that the default sys.unraisablehook accepts
+    _Args = next(t for t in tuple.__subclasses__()
+                 if t.__name__ == "UnraisableHookArgs")
 
     def __init__(self, exc, entry=None):
-        self.exc, self.entry = exc, entry
+        self.exc, self.entry = exc, entry  # entry: until reported or joined
         self._unreported = _thread.allocate_lock()
 
     def report(self):  # once, whether the worker or detach() calls first
-        if self._unreported.acquire(False):
-            _report(self.exc, self.entry)
+        if self._unreported.acquire(False):  # as _thread reports a thread's
+            exc, by, self.entry = self.exc, self.entry, None
+            args = self._Args((type(exc), exc, exc.__traceback__,
+                               "Exception ignored in thread started by", by))
+            try:
+                (sys.unraisablehook or sys.__unraisablehook__)(args)
+            except BaseException:  # even SystemExit: the default reports
+                sys.__unraisablehook__(args)
 
 
 def logical_exit(status: Any = None):
@@ -220,6 +212,7 @@ class JoinHandle:
             lk.release()  # let waiters through
         v = self._value
         if type(v) is _Poisoned:
+            v.entry = None  # it is never reported now
             raise TaskPoisoned("task entry raised") from v.exc
         return v
 
@@ -357,14 +350,11 @@ class ThreadCache:
         """Snapshot of the counters, exact at quiescence.
 
         spawns_total is cache hits plus misses, and physical_culls is
-        physical creates minus live workers. A hit is counted on the worker
-        popped, by its spawn, without a lock; cache_hits sums the live and
-        gone workers' hits in the lock section that reads the others, and
-        current_idle and peak_idle are read without it, so under load they
-        need not match the others. peak_idle never falls and never exceeds
-        the true peak (see ``idle_store``). A spawn that races ``shutdown``
-        may run its task on a worker the closing store has not yet refused,
-        instead of raising UsageError.
+        physical creates minus live workers. cache_hits sums the hits that
+        each spawn counts on the worker it pops, in the lock section that
+        reads the others; current_idle and peak_idle, which never falls nor
+        exceeds the true peak, are read without it. A spawn that races
+        ``shutdown`` may run its task instead of raising UsageError.
         """
         with self._count_lock:
             m, c, live = self._misses, self._creates, len(self._live)
@@ -432,8 +422,8 @@ class ThreadCache:
                 task._value = _Poisoned(exc, task._entry)
                 if task._state == DETACHED:  # else detach() reports it
                     task._value.report()
-            # as Thread.run drops its target: a kept handle pins no entry or
-            # arg, and a CachedThread is in no cycle with its handle
+            # as Thread.run drops its target: a kept handle pins no arg nor
+            # entry (see _Poisoned), and a CachedThread is in no cycle with it
             task._entry = task._arg = arg = None
             worker.task = None
             task._latch.release()  # fires strictly before publication
@@ -452,8 +442,7 @@ class ThreadCache:
             if task is None:  # woken by _terminate
                 break
         with self._count_lock:
-            del self._live[worker.worker_id]
-            self._gone_hits += worker.hits
+            self._gone_hits += self._live.pop(worker.worker_id).hits
         with threading._active_limbo_lock:  # a program may have deleted it
             threading._active.pop(ident, None)
         worker._tstate_lock.release()
@@ -493,8 +482,7 @@ def _after_fork_in_child():
         if from_worker:
             rt._store.close()
         for w in [w for w in rt._live.values() if w._ident != me]:
-            del rt._live[w.worker_id]
-            rt._gone_hits += w.hits
+            rt._gone_hits += rt._live.pop(w.worker_id).hits
             w._reset_internal_locks(False)  # as threading._after_fork does
             task = w.task
             if task is not None:

@@ -69,7 +69,7 @@ import threading
 import types
 from typing import Mapping, Optional
 
-from .runtime import ThreadCache, UsageError, Worker, _report, current_task
+from .runtime import ThreadCache, UsageError, Worker, _Poisoned, current_task
 
 __all__ = ["install", "uninstall", "installed", "active_runtime",
            "handle_map", "CachedThread"]
@@ -207,7 +207,7 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
         except SystemExit:
             pass
         except BaseException as exc:  # as _thread reports it
-            _report(exc, function)
+            _Poisoned(exc, function).report()
 
     handle = _spawn(body)
     if handle is None:

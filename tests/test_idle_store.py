@@ -624,6 +624,9 @@ class Fates:
 
     def __init__(self, prefill: int):
         self.s = IdleStore()
+        # an interjection that would wait for the lock runs at once: more
+        # orders than threads can reach, and none fewer
+        self.s._lock = threading.RLock()
         self.entered, self.out = [], []
         for _ in range(prefill):
             self.push()

@@ -8,7 +8,7 @@ import threading
 import time
 
 from threadcache import Policy, RetentionConfig, current_task
-from threadcache.idle_store import IdleStore, LockedIdleStore
+from threadcache.idle_store import IdleStore
 
 from conftest import counted_reap, quiescent, wait_until
 from interleave import hold
@@ -61,8 +61,7 @@ class TestReapRace:
 
         with hold(monkeypatch, IdleStore, "run_pass", when=culls_one) \
                 as timer, \
-                hold(monkeypatch, LockedIdleStore, "pop",
-                     when=pops_one) as spawner:
+                hold(monkeypatch, IdleStore, "pop", when=pops_one) as spawner:
             first = rt.spawn(lambda: None)
             first.join()
             culled = first.worker

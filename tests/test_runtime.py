@@ -1,5 +1,6 @@
 """Runtime: spawn/join/detach semantics, recycling, counters, invariants."""
 
+import functools
 import gc
 import json
 import os
@@ -860,20 +861,51 @@ class TestDetachedFailure:
         assert len(seen) == n
         assert {type(u.exc_value) for u in seen} == {ZeroDivisionError}
 
-    def test_a_worker_outlives_a_failing_hook(self, runtime, monkeypatch):
+    @pytest.mark.parametrize("raised", [RuntimeError, SystemExit,
+                                        KeyboardInterrupt])
+    def test_a_worker_outlives_a_failing_hook(self, runtime, monkeypatch,
+                                              raised):
+        # CPython hands any failure of the hook to the default hook
         def broken(u):
-            raise RuntimeError("hook failed")
+            raise raised("hook failed")
 
         monkeypatch.setattr(sys, "unraisablehook", broken)
         defaults = []
         monkeypatch.setattr(sys, "__unraisablehook__", defaults.append)
         rt = runtime(enabled=True)
         h = rt.spawn(lambda: 1 / 0)
-        h.detach()
+        h.detach()  # before the end: the worker reports
         assert wait_until(lambda: len(defaults) == 1 and quiescent(rt))
         assert rt.spawn(lambda: 4).join() == 4
+        h = rt.spawn(lambda: 1 / 0)
+        assert h.wait(5.0) and wait_until(lambda: quiescent(rt))
+        h.detach()  # after the end: detach reports, and does not raise
+        assert len(defaults) == 2
         s = rt.stats()
-        assert (s.cache_hits, s.physical_creates) == (1, 1)
+        assert (s.cache_hits, s.physical_creates, len(rt._live)) == (2, 1, 1)
+        rt.shutdown(join=True, timeout=5.0)
+        assert not h.worker.is_alive()
+
+    def test_a_poisoned_handle_lets_go_of_its_entry(self, runtime,
+                                                   monkeypatch):
+        # once reported or joined, a raised task's entry is not kept; a C
+        # entry, so that no frame of it in the traceback keeps it either
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+        for end in ("join", "detach"):
+            entry = functools.partial(int, "not a number")
+            ref = weakref.ref(entry)
+            h = rt.spawn(entry)
+            del entry
+            assert h.wait(5.0) and wait_until(lambda: quiescent(rt))
+            if end == "join":
+                with pytest.raises(TaskPoisoned):
+                    h.join()
+            else:
+                h.detach()
+                assert seen.pop().object.func is int  # the hook had it
+            gc.collect()
+            assert ref() is None, end
 
 
 class TestShutdown:
