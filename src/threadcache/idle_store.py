@@ -44,9 +44,10 @@ class IdleStore:
         self._peak = 0
         self._closed = self._clamp == 0  # a clamp of 0 keeps nothing
         self._bare = cfg.policy is Policy.UNBOUNDED
-        self._timed = cfg.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET)
-        # seconds the timer parks between passes; a longer lock wait raises
-        self.period = min(cfg.reap_period, threading.TIMEOUT_MAX)
+        # seconds the timer parks between passes, capped as a lock wait;
+        # None: the policy does not reap
+        self.period = min(cfg.reap_period, threading.TIMEOUT_MAX) \
+            if cfg.policy in (Policy.AGE_OUT, Policy.INTEGRAL_BUDGET) else None
 
     # the locked hit path calls acquire/release: half the cost of ``with``
     def push(self, worker) -> Sequence:
@@ -162,7 +163,7 @@ class IdleStore:
         """The front (oldest) worker of a timed store, which runs its
         passes; None when the store is empty or its policy does not reap."""
         front = self._items[:1]  # one read: a pop may empty the list
-        return front[0] if front and self._timed else None
+        return front[0] if front and self.period is not None else None
 
     @property
     def closed(self) -> bool:  # refuses every push

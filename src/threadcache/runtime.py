@@ -16,6 +16,11 @@ Fast-path rules, in order, for every recycle:
 Joiners therefore never observe a worker in the store whose task has not
 completed.
 
+A task that raised raises ``TaskPoisoned`` from ``join``. Unjoined, it goes
+to ``sys.unraisablehook`` once, when the handle can no longer be joined: at
+the detach or the task's end if detached, as its last reference goes, or
+as a cycle holding it is collected, on the collecting thread.
+
 A cache hit pops a worker, counts itself in its ``hits``, writes the task
 into its ``task`` slot and releases its park lock: no runtime lock, and
 under Unbounded, the default, no store lock. Each worker owns one park
@@ -100,20 +105,20 @@ class TaskPoisoned(Exception):
 
 
 class _Poisoned:
-    __slots__ = ("exc", "entry", "_unreported")
+    __slots__ = ("exc", "entry")
     # the only args type that the default sys.unraisablehook accepts
     _Args = next(t for t in tuple.__subclasses__()
                  if t.__name__ == "UnraisableHookArgs")
 
     def __init__(self, exc, entry=None):
-        self.exc, self.entry = exc, entry  # entry: until reported or joined
-        self._unreported = _thread.allocate_lock()
+        self.exc, self.entry = exc, entry  # None: joined, or lost to a fork
 
-    def report(self):  # once, whether the worker or detach() calls first
-        if self._unreported.acquire(False):  # as _thread reports a thread's
-            exc, by, self.entry = self.exc, self.entry, None
+    def __del__(self):  # at most once: freed never joined, it reports
+        if self.entry is not None:  # as _thread reports a thread's
+            exc = self.exc
             args = self._Args((type(exc), exc, exc.__traceback__,
-                               "Exception ignored in thread started by", by))
+                               "Exception ignored in thread started by",
+                               self.entry))
             try:
                 (sys.unraisablehook or sys.__unraisablehook__)(args)
             except BaseException:  # even SystemExit: the default reports
@@ -212,20 +217,20 @@ class JoinHandle:
             lk.release()  # let waiters through
         v = self._value
         if type(v) is _Poisoned:
-            v.entry = None  # it is never reported now
+            v.entry = None  # retrieved: it is never reported
             raise TaskPoisoned("task entry raised") from v.exc
         return v
 
     def detach(self):
         """Give up the right to join; the worker still recycles on completion.
-        A task that raised, or raises later, goes to sys.unraisablehook."""
+        A task that raised goes to sys.unraisablehook now, or as it ends."""
         st = self._state
         if st != JOINABLE:
             raise UsageError("cannot detach a handle already %s" %
                              ("joined" if st == JOINED else "detached"))
         self._state = DETACHED
-        if type(self._value) is _Poisoned:  # done: its worker did not report
-            self._value.report()
+        if type(self._value) is _Poisoned:  # done: nobody can join it now
+            self._value = None  # freed, it reports itself
 
 
 class Worker(_OSThread):
@@ -409,7 +414,7 @@ class ThreadCache:
         task = worker.task
         park = worker._park_lock
         store = self._store
-        timed, period = store._timed, store.period
+        period = store.period  # None: the policy does not reap; else > 0
         _current.worker = worker
         while True:
             try:
@@ -420,8 +425,8 @@ class ThreadCache:
                 task._value = exc.code
             except BaseException as exc:
                 task._value = _Poisoned(exc, task._entry)
-                if task._state == DETACHED:  # else detach() reports it
-                    task._value.report()
+                if task._state == DETACHED:  # nobody can join it now
+                    task._value = None  # freed, it reports itself
             # as Thread.run drops its target: a kept handle pins no arg nor
             # entry (see _Poisoned), and a CachedThread is in no cycle with it
             task._entry = task._arg = arg = None
@@ -433,9 +438,13 @@ class ThreadCache:
                 self._terminate(exiting)
                 exiting = None  # a parked worker holds no other worker
             # a parked timer stays the front until it leaves the store
-            if timed and worker is store.timer:
+            if period and worker is store.timer:
                 while not park.acquire(True, period):  # True: woken, re-armed
-                    self._reap_pass(worker)
+                    try:  # a spawn may pop the timer first: the pass checks
+                        self._terminate(store.run_pass(worker,
+                                                       time.monotonic_ns()))
+                    except Exception:
+                        log.exception("retention pass failed")
             else:
                 park.acquire()  # until the next task or a terminate; re-arms
             task = worker.task
@@ -446,16 +455,6 @@ class ThreadCache:
         with threading._active_limbo_lock:  # a program may have deleted it
             threading._active.pop(ident, None)
         worker._tstate_lock.release()
-
-    def _reap_pass(self, worker: Worker):
-        """The store's pass, if worker is still its timer: a spawn may pop
-        it after its park times out, so ``run_pass`` checks under the lock."""
-        try:
-            culled = self._store.run_pass(worker, time.monotonic_ns())
-        except Exception:
-            log.exception("retention pass failed")
-            return
-        self._terminate(culled)
 
 
 _runtimes: "weakref.WeakSet[ThreadCache]" = weakref.WeakSet()
@@ -472,8 +471,8 @@ def _after_fork_in_child():
     worker exits after its task, as a forked ``threading.Thread`` does, and
     no worker parks that would outlive the task and keep the child from
     ending. A task that a forgotten worker was running
-    never finishes in the child, so its handle completes there as poisoned
-    and a wait or join on it returns at once."""
+    never finishes in the child, so its handle completes there as poisoned,
+    never reported, and a wait or join on it returns at once."""
     me = _thread.get_ident()
     from_worker = _current.worker is not None
     for rt in list(_runtimes):

@@ -66,7 +66,6 @@ import _thread
 import contextvars
 import sys
 import threading
-import types
 from typing import Mapping, Optional
 
 from .runtime import ThreadCache, UsageError, Worker, _Poisoned, current_task
@@ -206,8 +205,8 @@ def _shim_start_new_thread(function, args, kwargs=_NO_KWARGS):
             contextvars.Context().run(function, *args, **kwargs)
         except SystemExit:
             pass
-        except BaseException as exc:  # as _thread reports it
-            _Poisoned(exc, function).report()
+        except BaseException as exc:  # reported at once, as _thread does:
+            _Poisoned(exc, function)  # an unjoined value, freed here
 
     handle = _spawn(body)
     if handle is None:
@@ -255,10 +254,7 @@ def active_runtime() -> Optional[ThreadCache]:
     return _runtime
 
 
-_NO_HANDLES: Mapping = types.MappingProxyType({})
-
-
 def handle_map() -> Mapping:
     """Always empty: the shim tracks no handles, as each CachedThread holds
     its own and raw starts keep none. Kept for callers that count it."""
-    return _NO_HANDLES
+    return {}

@@ -32,7 +32,7 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = RetentionConfig()
         assert cfg.policy is Policy.UNBOUNDED
-        assert not IdleStore(cfg)._timed
+        assert IdleStore(cfg).period is None
 
     @pytest.mark.parametrize("kw", [
         {"clamp_size": -1},
@@ -52,7 +52,7 @@ class TestConfig:
         assert cfg.policy is Policy.INTEGRAL_BUDGET
         assert cfg.budget == 2.5
         assert cfg.reap_period == 0.1
-        assert IdleStore(cfg)._timed
+        assert IdleStore(cfg).period == 0.1
 
     def test_from_env_clamp_and_age(self):
         cfg = RetentionConfig.from_env({"THREADCACHE_POLICY": "clamp",

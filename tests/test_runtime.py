@@ -24,6 +24,15 @@ from conftest import (counted_reap, net_new_objects, one_cpu, quiescent,
                       reap_child, wait_until)
 
 
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """script, run by a fresh interpreter that imports this threadcache."""
+    src = os.path.dirname(os.path.dirname(threadcache.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_package_root_exports_only_the_api():
     assert sorted(threadcache.__all__) == [
         "CacheStats", "DeadlockError", "JoinHandle", "Policy",
@@ -908,6 +917,187 @@ class TestDetachedFailure:
             assert ref() is None, end
 
 
+_KEPT_UNTIL_EXIT_SCRIPT = """
+import threadcache
+
+def boom():
+    raise ValueError("kept until exit")
+
+rt = threadcache.ThreadCache()
+h = rt.spawn(boom)  # a global, never joined: freed as the interpreter ends
+assert h.wait(5.0)
+"""
+
+
+class TestUnjoinedFailure:
+    """A task that raised and is never joined is reported once, when its
+    handle can no longer be joined: detached (``TestDetachedFailure``), let
+    go of, or collected in a cycle. The value reports itself as it is
+    freed; a joined one never does."""
+
+    hooked = staticmethod(TestDetachedFailure.hooked)
+
+    def test_a_dropped_handle_reports_once_with_its_entry(self, runtime,
+                                                          monkeypatch):
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+
+        def boom():
+            raise KeyError("dropped")
+
+        rt.spawn(boom)
+        assert wait_until(lambda: len(seen) == 1 and quiescent(rt))
+        time.sleep(0.02)
+        assert [(type(u.exc_value), u.object, u.err_msg) for u in seen] == [
+            (KeyError, boom, "Exception ignored in thread started by")]
+
+    def test_a_handle_waited_on_then_dropped_reports_once(self, runtime,
+                                                          monkeypatch):
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+        h = rt.spawn(lambda: 1 / 0)
+        assert h.wait(5.0) and wait_until(lambda: quiescent(rt))
+        assert seen == []  # still joinable
+        del h
+        assert len(seen) == 1 and type(seen[0].exc_value) is ZeroDivisionError
+
+    def test_a_joined_handle_is_never_reported(self, runtime, monkeypatch):
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+        h = rt.spawn(lambda: 1 / 0)
+        with pytest.raises(TaskPoisoned):
+            h.join()
+        del h
+        gc.collect()
+        assert wait_until(lambda: quiescent(rt)) and seen == []
+
+    def test_a_failure_in_a_cycle_is_reported_at_collection(self, runtime,
+                                                            monkeypatch):
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+
+        def cyclic():  # exception -> handle -> value -> exception
+            raise ValueError(current_task())
+
+        gc.disable()
+        try:
+            h = rt.spawn(cyclic)
+            assert h.wait(5.0) and wait_until(lambda: quiescent(rt))
+            del h
+            assert seen == []  # only the collector can free the cycle
+            gc.collect()
+        finally:
+            gc.enable()
+        assert len(seen) == 1 and type(seen[0].exc_value) is ValueError
+        assert seen[0].object is cyclic
+
+    def test_a_failure_kept_until_exit_is_reported_once(self):
+        proc = run_script(_KEPT_UNTIL_EXIT_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        # through the default hook, and the finalizer itself never fails
+        assert proc.stderr.count(
+            "Exception ignored in thread started by: <function boom") == 1
+        assert proc.stderr.count("ValueError: kept until exit") == 1
+        assert "Exception ignored in:" not in proc.stderr
+        assert "__del__" not in proc.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_handle_stranded_by_fork_is_never_reported(self, runtime,
+                                                         monkeypatch):
+        # the task did not fail in the child, its thread was not copied:
+        # no report, not in the at-fork hook, which frees the detached
+        # handle's last reference, nor at a detach or a drop in the child
+        seen = self.hooked(monkeypatch)
+        rt = runtime(enabled=True)
+        go = threading.Event()
+        joined, detached = rt.spawn(go.wait, 5.0), rt.spawn(go.wait, 5.0)
+        rt.spawn(go.wait, 5.0).detach()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                if (seen == [] and joined._value.entry is None
+                        and detached._value.entry is None):
+                    detached.detach()
+                    del detached
+                    try:
+                        joined.join()
+                    except TaskPoisoned:
+                        del joined
+                        gc.collect()
+                        if seen == []:
+                            code = 0
+            finally:
+                os._exit(code)
+        go.set()
+        assert joined.join() is True and detached.join() is True
+        assert reap_child(pid) == 0
+        assert wait_until(lambda: quiescent(rt)) and seen == []
+
+    def test_detach_at_every_boundary_of_the_end_reports_once(
+            self, runtime, monkeypatch):
+        """The worker's end of a raised task against ``detach()``, run on
+        the worker at each line or opcode boundary of its dispatch loop,
+        where a thread switch may fall under the GIL, from the exception's
+        arrival through the drop of the value: exactly one report each time,
+        while the handle is still held, so neither a report lost nor one
+        made twice."""
+        seen = self.hooked(monkeypatch)
+        run = {}
+
+        def boom():
+            raise KeyError("raced")
+
+        def steps(frame, event, arg):  # the dispatch loop's frame
+            h = run["handle"]
+            if event == "exception":  # the task's raise arrives
+                run["open"] = True
+            elif h._entry is None:  # past the drop: stop tracing
+                frame.f_trace = None
+                return None
+            if run["open"]:
+                if run["count"] == run["at"]:
+                    run["fired"] = True
+                    h.detach()  # a trace call: its frames are not traced
+                run["count"] += 1
+            return steps
+
+        def calls(frame, event, arg):  # the worker's trace, for life
+            if frame.f_code is boom.__code__:
+                loop = frame.f_back
+                assert loop.f_code is ThreadCache._dispatch_loop.__code__
+                run["handle"] = current_task()
+                loop.f_trace = steps
+                loop.f_trace_opcodes = True
+            return None
+
+        rt = runtime(enabled=True)
+        threading.settrace(calls)  # the one worker starts under it
+        try:
+            rt.spawn(lambda: None).join()
+        finally:
+            threading.settrace(None)
+        assert wait_until(lambda: quiescent(rt))
+        at = 0
+        while True:
+            run.update(at=at, count=0, fired=False, open=False)
+            h = rt.spawn(boom)
+            assert h.wait(5.0) and wait_until(lambda: quiescent(rt))
+            if not run["fired"]:
+                h.detach()  # after the end
+            assert len(seen) == 1, (at, len(seen))
+            u = seen.pop()
+            assert (type(u.exc_value), u.object) == (KeyError, boom)
+            del h, u
+            run.pop("handle")
+            assert seen == []
+            if not run["fired"]:
+                break
+            at += 1
+        assert at > 10, at  # the window was stepped through
+        assert rt.stats().physical_creates == 1
+
+
 class TestShutdown:
     def test_no_worker_left_parked_after_racing_shutdown(self):
         # 64 tasks finish together while shutdown drains the store; a
@@ -1176,12 +1366,7 @@ class TestRetentionTimer:
                         reason="needs /proc/self/task")
     def test_reaping_runtime_starts_no_thread(self):
         # in a fresh process, where no other test's thread comes or goes
-        src = os.path.dirname(os.path.dirname(threadcache.__file__))
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=60)
+        proc = run_script(_THREAD_COUNT_SCRIPT)
         assert (proc.returncode, proc.stderr) == (0, "")
         lines = proc.stdout.splitlines()
         assert len(lines) == 2
